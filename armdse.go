@@ -186,7 +186,7 @@ const (
 // Backends lists the recognised memory backend names.
 func Backends() []string { return orchestrate.Backends() }
 
-// Evaluator names accepted by NewEvaluator and CollectOptions.Eval.
+// Evaluator names accepted by CollectOptions.Eval.
 const (
 	// EvalExact runs the full simulator on every configuration — the
 	// study's default and the ground-truth reference.
@@ -199,16 +199,8 @@ const (
 	EvalHybrid = orchestrate.EvalHybrid
 )
 
-// Evaluator-seam types; see internal/orchestrate for the contracts.
+// Analytical bound-model types; see internal/simeng for the contracts.
 type (
-	// Evaluator produces per-(configuration, workload) evaluations; the
-	// seam behind CollectOptions.Eval.
-	Evaluator = orchestrate.Evaluator
-	// Evaluation is one evaluator outcome: stats, confidence, and whether
-	// it came from exact simulation.
-	Evaluation = orchestrate.Evaluation
-	// EvalOptions configure NewEvaluator.
-	EvalOptions = orchestrate.EvalOptions
 	// Bounds is the analytical bound model's per-run cycle bracket.
 	Bounds = simeng.Bounds
 	// BoundModel computes analytical cycle bounds for one configuration.
@@ -220,12 +212,12 @@ type (
 // Evaluators lists the recognised evaluator names.
 func Evaluators() []string { return orchestrate.Evaluators() }
 
-// NewEvaluator builds the named per-config evaluator ("" = EvalExact): the
-// standalone face of the evaluator seam, for single-point studies. Batch
-// collection selects the same evaluators through CollectOptions.Eval, where
-// the engine additionally guarantees worker-count-independent routing.
-func NewEvaluator(kind string, opt EvalOptions) (Evaluator, error) {
-	return orchestrate.NewEvaluator(kind, opt)
+// PredictBound answers one application from the analytical bound model —
+// the per-application body of the EvalBound evaluator: predicted stats
+// (cycles at the roofline lower bound, stalls summing to them) and the
+// bounds' tightness as a confidence in (0, 1].
+func PredictBound(bm *BoundModel, st StreamStats) (Stats, float64) {
+	return orchestrate.PredictBound(bm, st)
 }
 
 // NewBoundModel builds the analytical evaluator's core: per-application
@@ -282,12 +274,9 @@ type (
 	// BatchSource is the generation-driven configuration seam: the engine
 	// asks it for the next proposal batch, runs the batch to a barrier,
 	// and feeds the completed rows back before asking again
-	// (CollectOptions.Batches). FixedBatches wraps a fixed source as the
-	// degenerate single-batch case; search.Proposer is the adaptive case.
+	// (CollectOptions.Batches). search.Proposer is the adaptive case; the
+	// fixed sweep is the case that ignores the rows.
 	BatchSource = orchestrate.BatchSource
-	// FixedBatches adapts a fixed ConfigSource to the batch seam (one
-	// batch holding the whole source).
-	FixedBatches = orchestrate.FixedBatches
 )
 
 // Collect simulates every workload on each of the design space's sampled
@@ -346,19 +335,13 @@ func CompactStream(path string) (*Dataset, int, error) {
 func NewStreamSink(w *StreamWriter) RowSink { return orchestrate.StreamSink{W: w} }
 
 // PriorRowsFromJournal reconstructs the completed rows of an interrupted
-// batch-mode collection from its journal, sorted by index — the
-// CollectOptions.Prior input that lets a resumed adaptive run replay its
-// proposal sequence exactly (combine with Skip from the resumed stream
-// writer's Done set).
+// collection from its journal, sorted by index — the CollectOptions.Prior
+// input that lets a resumed adaptive run replay its proposal sequence, and
+// a resumed hybrid run its residual training, exactly (combine with Skip
+// from the resumed stream writer's Done set).
 func PriorRowsFromJournal(path string) ([]Row, error) {
 	return orchestrate.PriorRowsFromJournal(path)
 }
-
-// SourceDigest fingerprints a config source's contents (length plus every
-// feature vector), independent of its representation. Stamp it into a
-// journal's meta string so a resume against a different source is rejected
-// instead of silently mixing sampling streams.
-func SourceDigest(s orchestrate.ConfigSource) string { return orchestrate.SourceDigest(s) }
 
 // Telemetry layer types; see internal/obs for the metrics core and
 // internal/orchestrate.Telemetry for the engine-facing hub.

@@ -11,6 +11,13 @@
 // per shard, same seed everywhere): the shards partition the same index
 // space, so their union equals the unsharded run.
 //
+// -eval selects the per-config evaluator: exact simulation (default), the
+// analytical bound model, or the hybrid, which predicts from bounds plus a
+// learned residual and escalates uncertain configs to exact simulation. A
+// hybrid sweep cannot be sharded — each shard would train its own residual
+// forests — but it resumes byte-identically: -resume replays the journaled
+// rows through the router to rebuild the forests the interrupted run had.
+//
 // A run is observable while it executes: a structured JSONL run journal
 // (-runlog, default <out>.runlog.jsonl) records one line per configuration
 // plus heartbeats, and -http serves a live monitor — Prometheus /metrics,
@@ -151,7 +158,9 @@ var workerAllowedFlags = map[string]bool{
 //   - -eval must name a known evaluator (previously checked deep inside
 //     the engine, after the journal was created);
 //   - -search and -shard are mutually exclusive (proposal batches depend
-//     on every earlier result, so the index space cannot be partitioned);
+//     on every earlier result, so the index space cannot be partitioned),
+//     and so are -eval hybrid and -shard (each shard would train its own
+//     residual forests);
 //   - the search-subordinate flags (-search-budget ... -search-diversity)
 //     require -search: without it they would be silently ignored.
 func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string) error {
@@ -175,6 +184,9 @@ func validateFlags(fs *flag.FlagSet, worker, eval, search, shard string) error {
 	}
 	if search != "" && shard != "" {
 		return fmt.Errorf("-search and -shard are incompatible: proposal batches depend on every earlier result, so the index space cannot be partitioned across machines")
+	}
+	if eval == armdse.EvalHybrid && shard != "" {
+		return fmt.Errorf("-eval hybrid and -shard are incompatible: each shard would train its own residual forests, so the union of shards could never equal the unsharded run")
 	}
 	if search == "" {
 		var bad []string
@@ -347,11 +359,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *resume && len(skip) > 0 && !*quiet {
 		fmt.Fprintf(stderr, "resuming: %d configs already journaled\n", len(skip))
 	}
-	// Resuming an adaptive run must replay the proposal sequence: the
-	// journaled rows re-enter as Prior (so each generation's proposer sees
-	// exactly what it saw the first time) while Skip prevents re-simulation.
+	// Resuming an adaptive or hybrid run must replay what the journaled
+	// rows taught it: they re-enter as Prior (so each generation's proposer
+	// sees exactly what it saw the first time, and the hybrid's residual
+	// forests retrain on the same escalations) while Skip prevents
+	// re-simulation.
 	var prior []armdse.Row
-	if proposer != nil && *resume && len(skip) > 0 {
+	if (proposer != nil || *eval == armdse.EvalHybrid) && *resume && len(skip) > 0 {
 		prior, err = armdse.PriorRowsFromJournal(journal)
 		if err != nil {
 			return err

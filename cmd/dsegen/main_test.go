@@ -156,6 +156,41 @@ func TestRunResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
+// TestRunHybridResumeMatchesUninterrupted: a hybrid sweep resumed from a
+// journal holding its first rows is byte-identical to the uninterrupted
+// sweep — -resume replays the journaled rows into the residual forests.
+func TestRunHybridResumeMatchesUninterrupted(t *testing.T) {
+	dir := t.TempDir()
+	hybrid := []string{"-samples", "8", "-eval", "hybrid", "-eval-warmup", "4", "-eval-refresh", "2", "-eval-escalate", "5"}
+	full := cliCSV(t, filepath.Join(dir, "full.csv"), hybrid...)
+
+	out := filepath.Join(dir, "resumed.csv")
+	suite := armdse.TestSuite()
+	apps := armdse.SuiteNames(suite)
+	sw, err := armdse.CreateStreamAux(out+".journal", armdse.FeatureNames(), apps,
+		armdse.StallColumns(apps), journalMeta(9, 8, false, armdse.EvalHybrid, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = armdse.Collect(context.Background(), armdse.CollectOptions{
+		Seed: 9, Samples: 8, Suite: suite,
+		Eval: armdse.EvalHybrid, EvalWarmup: 4, EvalRefresh: 2, EvalEscalate: 5,
+		Sink: armdse.NewStreamSink(sw),
+		Skip: func(i int) bool { return i >= 5 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := cliCSV(t, out, append(hybrid, "-resume")...)
+	if !bytes.Equal(full, resumed) {
+		t.Error("resumed hybrid CSV differs from uninterrupted run")
+	}
+}
+
 // TestRunResumeV1Journal resumes a journal written before stall columns
 // existed (schema v1): the run must succeed and keep the journal's original
 // layout, producing a CSV whose feature and target columns match a fresh

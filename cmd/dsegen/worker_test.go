@@ -82,3 +82,16 @@ func TestRunSearchShardExclusive(t *testing.T) {
 	}
 	assertNoStrayFiles(t, dir)
 }
+
+func TestRunHybridShardExclusive(t *testing.T) {
+	dir := t.TempDir()
+	var buf bytes.Buffer
+	err := run(context.Background(),
+		[]string{"-samples", "4", "-out", filepath.Join(dir, "ds.csv"),
+			"-eval", "hybrid", "-shard", "0/2", "-q"},
+		&buf, &buf)
+	if err == nil || !strings.Contains(err.Error(), "-eval hybrid and -shard are incompatible") {
+		t.Fatalf("err = %v", err)
+	}
+	assertNoStrayFiles(t, dir)
+}

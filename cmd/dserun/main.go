@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	dserun [-app STREAM] [-config cfg.json] [-vl 512] [-paper] [-mem sst] [-eval exact] [-v]
+//	dserun [-app STREAM] [-config cfg.json] [-vl 512] [-paper] [-mem sst] [-eval exact|bound] [-v]
 //	dserun -dump-baseline tx2.json
 //	dserun -app TeaLeaf -paper -http :8080 -cpuprofile cpu.pb.gz
 package main
@@ -66,6 +66,20 @@ func profileTo(cpuPath, memPath string) (stop func() error, err error) {
 	}, nil
 }
 
+// boundStats answers w on cfg from the analytical bound model.
+func boundStats(cfg armdse.Config, w armdse.Workload) (armdse.Stats, float64, error) {
+	bm, err := armdse.NewBoundModel(cfg.Core, cfg.MemProfile())
+	if err != nil {
+		return armdse.Stats{}, 0, err
+	}
+	ss, err := armdse.WorkloadStats(w, cfg.Core.VectorLength)
+	if err != nil {
+		return armdse.Stats{}, 0, err
+	}
+	st, conf := armdse.PredictBound(bm, ss)
+	return st, conf, nil
+}
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "dserun:", err)
@@ -83,8 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		paper    = fs.Bool("paper", false, "use the paper's Table IV inputs instead of the scaled test inputs")
 		hw       = fs.Bool("hw", false, "deprecated alias for -mem proxy")
 		mem      = fs.String("mem", "", "memory backend: sst (default), flat, proxy")
-		eval     = fs.String("eval", "", "evaluator: exact (default), bound (analytical), hybrid (bounds + learned residual)")
-		evalEsc  = fs.Float64("eval-escalate", 0, "hybrid escalation threshold on the residual forest's log spread (0 = default)")
+		eval     = fs.String("eval", "", "evaluator: exact (default) or bound (analytical)")
 		verbose  = fs.Bool("v", false, "print detailed memory statistics")
 		maxCyc   = fs.Int64("max-cycles", 0, "abort the run after this many simulated cycles (0 = engine default)")
 		dumpBase = fs.String("dump-baseline", "", "write the ThunderX2 baseline config to this path and exit")
@@ -176,25 +189,28 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	evaluator, err := armdse.NewEvaluator(*eval, armdse.EvalOptions{
-		Backend:   memSel,
-		MaxCycles: *maxCyc,
-		Escalate:  *evalEsc,
-	})
-	if err != nil {
-		return err
+	// A single point has no residual forest to route with, so dserun
+	// offers only the two stateless evaluators.
+	if *eval != "" && *eval != armdse.EvalExact && *eval != armdse.EvalBound {
+		return fmt.Errorf("unknown evaluator %q (want %s or %s)", *eval, armdse.EvalExact, armdse.EvalBound)
 	}
 	evalSpan := reg.TimeHistogram("armdse_config_wall_nanoseconds",
 		"Wall time per configuration (full suite).").Start(0)
-	evaluation, err := evaluator.Evaluate(cfg, w)
+	var st armdse.Stats
+	var conf float64
+	var err error
+	if *eval == armdse.EvalBound {
+		st, conf, err = boundStats(cfg, w)
+	} else {
+		st, err = armdse.SimulateOn(memSel, cfg, w, *maxCyc)
+	}
 	evalSpan.End()
 	if err != nil {
 		return err
 	}
-	st := evaluation.Stats
 	fmt.Fprintf(stdout, "app=%s vl=%d\n", w.Name(), cfg.Core.VectorLength)
-	if !evaluation.Exact {
-		fmt.Fprintf(stdout, "eval:                %s (predicted, confidence %.3f)\n", *eval, evaluation.Confidence)
+	if *eval == armdse.EvalBound {
+		fmt.Fprintf(stdout, "eval:                %s (predicted, confidence %.3f)\n", *eval, conf)
 	}
 	fmt.Fprintf(stdout, "cycles:              %d\n", st.Cycles)
 	fmt.Fprintf(stdout, "retired:             %d (IPC %.3f)\n", st.Retired, st.IPC())

@@ -285,17 +285,19 @@ func TestFleetByteIdentity(t *testing.T) {
 	cases := []struct {
 		name  string
 		fleet int
-		// kills[i] kills worker i after its k-th uploaded chunk (0 =
-		// never). Killed workers are respawned once, as a replacement
-		// node would be.
-		kills []int
+		// kills maps a lease id to the chunk of that lease (1 = its
+		// first) whose upload is killed: whichever worker holds the lease
+		// then dies, and is respawned as a replacement node would be.
+		// Every lease is simulated before the run completes, so every
+		// scheduled kill fires whichever worker the lease lands on.
+		kills map[int]int
 	}{
 		{name: "fleet1", fleet: 1},
 		{name: "fleet2", fleet: 2},
 		{name: "fleet4", fleet: 4},
-		{name: "fleet1-kill", fleet: 1, kills: []int{2}},
-		{name: "fleet2-kill1", fleet: 2, kills: []int{0, 2}},
-		{name: "fleet4-kill2", fleet: 4, kills: []int{1, 0, 3, 0}},
+		{name: "fleet1-kill", fleet: 1, kills: map[int]int{0: 2}},
+		{name: "fleet2-kill1", fleet: 2, kills: map[int]int{1: 2}},
+		{name: "fleet4-kill2", fleet: 4, kills: map[int]int{0: 1, 2: 2}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -315,17 +317,25 @@ func TestFleetByteIdentity(t *testing.T) {
 			defer cancel()
 
 			errInjected := fmt.Errorf("injected kill")
+			var mu sync.Mutex
+			chunks := map[int]int{} // chunks simulated per lease, by any holder
+			fired := 0
+			onChunk := func(lease, cursor int) error {
+				mu.Lock()
+				defer mu.Unlock()
+				chunks[lease]++
+				if chunks[lease] == tc.kills[lease] {
+					fired++
+					return errInjected
+				}
+				return nil
+			}
 			var wg sync.WaitGroup
 			errs := make([]error, tc.fleet)
 			for i := 0; i < tc.fleet; i++ {
-				killAt := 0
-				if i < len(tc.kills) {
-					killAt = tc.kills[i]
-				}
 				wg.Add(1)
-				go func(slot, killAt int) {
+				go func(slot int) {
 					defer wg.Done()
-					chunks := 0
 					// One simulation thread per worker: the interesting
 					// concurrency is between workers, and oversubscribing
 					// the host's cores 4x just slows every fleet down.
@@ -335,32 +345,18 @@ func TestFleetByteIdentity(t *testing.T) {
 						Threads:   1,
 						PollEvery: 20 * time.Millisecond,
 						Client:    srv.Client(),
-					}
-					if killAt > 0 {
-						cfg.OnChunk = func(lease, cursor int) error {
-							chunks++
-							if chunks >= killAt {
-								return errInjected
-							}
-							return nil
-						}
+						OnChunk:   onChunk,
 					}
 					err := RunWorker(ctx, cfg)
-					if err == errInjected {
+					for err == errInjected {
 						// The kill leaves a lease mid-flight; a
 						// replacement worker joins, as a respawned node
 						// would, and must pick up the expired tail.
-						respawn := WorkerConfig{
-							Coord:     srv.URL,
-							Name:      fmt.Sprintf("w%d-respawn", slot),
-							Threads:   1,
-							PollEvery: 20 * time.Millisecond,
-							Client:    srv.Client(),
-						}
-						err = RunWorker(ctx, respawn)
+						cfg.Name += "-respawn"
+						err = RunWorker(ctx, cfg)
 					}
 					errs[slot] = err
-				}(i, killAt)
+				}(i)
 			}
 			wg.Wait()
 			for slot, err := range errs {
@@ -385,6 +381,9 @@ func TestFleetByteIdentity(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), ref) {
 				t.Errorf("fleet CSV differs from single-process reference (%d vs %d bytes)",
 					got.Len(), len(ref))
+			}
+			if fired != len(tc.kills) {
+				t.Errorf("%d of %d scheduled kills fired", fired, len(tc.kills))
 			}
 			if len(tc.kills) > 0 {
 				if st := coord.Status(); st.LeaseExpiries == 0 {

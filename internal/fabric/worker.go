@@ -257,10 +257,9 @@ func (w *worker) simulateRange(ctx context.Context, lease Lease, hi *int64, lo, 
 		}()
 	}
 
-	src := orchestrate.RangeSource{Seed: w.spec.Seed, Lo: lo, Hi: hiC}
-	sink := &wireSink{spec: &w.spec, base: src.Base()}
+	sink := &wireSink{spec: &w.spec, base: lo}
 	eng := orchestrate.Engine{
-		Source:    src,
+		Batches:   &orchestrate.RangeBatches{Seed: w.spec.Seed, Lo: lo, Hi: hiC},
 		Suite:     w.spec.Suite(),
 		Sink:      sink,
 		Workers:   w.cfg.Threads,

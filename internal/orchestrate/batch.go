@@ -1,23 +1,19 @@
 package orchestrate
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 
 	"armdse/internal/dataset"
 	"armdse/internal/params"
 )
 
-// The batch-source seam. A fixed sweep decides its configuration set before
-// the run starts; an adaptive search decides it *during* the run, proposing
-// each batch from the results of the previous ones. BatchSource is the
-// generalisation: the engine asks for one batch at a time, runs it to a
-// full barrier, and feeds every completed row back before asking for the
-// next. The fixed sources are the degenerate single-batch case
-// (FixedBatches), which keeps the classic sweep byte-identical through the
-// refactor.
+// The batch-source seam, the engine's only input. A fixed sweep decides its
+// configuration set before the run starts; an adaptive search decides it
+// *during* the run, proposing each batch from the results of the previous
+// ones. BatchSource covers both: the engine asks for one batch at a time,
+// runs it to a full barrier, and feeds every completed row back before
+// asking for the next. The fixed sweep (RangeBatches) is the degenerate
+// case whose batches ignore the rows fed back.
 //
 // Determinism contract: the engine assigns batch g the contiguous global
 // indices [base, base+len(batch)) where base is the total size of batches
@@ -75,60 +71,13 @@ type BatchStatsSource interface {
 	LastBatchStats() BatchStats
 }
 
-// FixedBatches adapts a fixed ConfigSource to the batch seam as a single
-// batch: the degenerate case the determinism tests pin against the
-// pre-seam engine.
-type FixedBatches struct {
-	Source ConfigSource
-
-	served bool
-}
-
-// NextBatch implements BatchSource: the whole source once, then exhausted.
-func (f *FixedBatches) NextBatch(prior []Row) ([]params.Config, bool) {
-	if f.served {
-		return nil, false
-	}
-	f.served = true
-	batch := make([]params.Config, f.Source.Len())
-	for i := range batch {
-		batch[i] = f.Source.At(i)
-	}
-	return batch, true
-}
-
-// Budget implements Budgeter.
-func (f *FixedBatches) Budget() int { return f.Source.Len() }
-
-// SourceDigest fingerprints a fixed source's contents — FNV-1a over the
-// length and every configuration's feature bits. Embedding the digest in a
-// journal's meta stamp extends the resume identity check from "(seed,
-// samples, suite) match" to "the actual configurations match", which is
-// the only identity a SliceSource or a proposed batch has: resuming such a
-// journal against a different source fails the meta comparison instead of
-// silently mixing rows from two different sweeps.
-func SourceDigest(s ConfigSource) string {
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(s.Len()))
-	h.Write(buf[:])
-	for i := 0; i < s.Len(); i++ {
-		cfg := s.At(i)
-		for _, f := range cfg.Features() {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			h.Write(buf[:])
-		}
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // PriorRowsFromJournal reconstructs the engine-visible rows of an
 // interrupted run from its on-disk journal, for Engine.Prior on resume.
-// The reconstruction is exact where the proposer looks: index, feature
-// vector, per-app targets and the failed flag all round-trip through the
-// journal's full-precision float encoding. Failed rows come back with
-// Row.Err set (and nil targets), exactly as Row.Failed reported them going
-// in.
+// The reconstruction is exact where the proposer and the hybrid's replay
+// look: index, feature vector, per-app targets and the failed flag all
+// round-trip through the journal's full-precision float encoding. Failed
+// rows come back with Row.Err set (and nil targets), exactly as
+// Row.Failed reported them going in.
 func PriorRowsFromJournal(path string) ([]Row, error) {
 	_, srows, err := dataset.ReadStreamRows(path)
 	if err != nil {

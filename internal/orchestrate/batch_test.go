@@ -5,33 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"testing"
 
 	"armdse/internal/dataset"
 	"armdse/internal/params"
 )
-
-// The degenerate case of the seam: a BatchSource wrapping the classic
-// IndexedSource must produce byte-identical output to the pre-seam fixed
-// sweep, at any worker count.
-func TestFixedBatchesMatchesFixedSweep(t *testing.T) {
-	fixed := Options{Seed: 11, Samples: 10, Suite: tinySuite(), Workers: 2}
-	want := collectCSV(t, fixed)
-	for _, workers := range []int{1, 2, 8} {
-		batch := Options{
-			Seed:    11,
-			Suite:   tinySuite(),
-			Workers: workers,
-			Batches: &FixedBatches{Source: IndexedSource{Seed: 11, N: 10}},
-		}
-		got := collectCSV(t, batch)
-		if !bytes.Equal(want, got) {
-			t.Errorf("FixedBatches at Workers=%d differs from the fixed sweep", workers)
-		}
-	}
-}
 
 // scriptedBatches proposes a fixed script of batches and records what prior
 // rows it was shown, for asserting the engine's feed contract.
@@ -111,31 +90,13 @@ func (t rowTap) Put(row Row) error {
 }
 
 func TestBatchRejectsSharding(t *testing.T) {
-	eng := &Engine{
-		Batches:    &FixedBatches{Source: IndexedSource{Seed: 1, N: 4}},
+	_, err := Collect(context.Background(), Options{
+		Batches:    &scriptedBatches{batches: [][]params.Config{{params.ConfigAt(1, 0)}}},
 		Suite:      tinySuite(),
-		Sink:       NewDatasetSink(params.FeatureNames(), SuiteNames(tinySuite())),
 		ShardCount: 2,
-	}
-	if _, _, err := eng.Run(context.Background()); err == nil {
+	})
+	if err == nil {
 		t.Fatal("batch + shard accepted")
-	}
-}
-
-func TestEngineRejectsSourceAndBatches(t *testing.T) {
-	sink := NewDatasetSink(params.FeatureNames(), SuiteNames(tinySuite()))
-	both := &Engine{
-		Source:  IndexedSource{Seed: 1, N: 2},
-		Batches: &FixedBatches{Source: IndexedSource{Seed: 1, N: 2}},
-		Suite:   tinySuite(),
-		Sink:    sink,
-	}
-	if _, _, err := both.Run(context.Background()); err == nil {
-		t.Fatal("Source+Batches accepted")
-	}
-	neither := &Engine{Suite: tinySuite(), Sink: sink}
-	if _, _, err := neither.Run(context.Background()); err == nil {
-		t.Fatal("engine with neither Source nor Batches accepted")
 	}
 }
 
@@ -225,46 +186,5 @@ func TestBatchResumeEqualsUninterrupted(t *testing.T) {
 	}
 	if !bytes.Equal(ab.Bytes(), bb.Bytes()) {
 		t.Error("resumed batch run differs from uninterrupted run")
-	}
-}
-
-func TestSourceDigest(t *testing.T) {
-	a := SliceSource{params.ConfigAt(1, 0), params.ConfigAt(1, 1)}
-	b := SliceSource{params.ConfigAt(1, 0), params.ConfigAt(1, 2)}
-	if SourceDigest(a) == SourceDigest(b) {
-		t.Error("different sources share a digest")
-	}
-	if SourceDigest(a) != SourceDigest(SliceSource{params.ConfigAt(1, 0), params.ConfigAt(1, 1)}) {
-		t.Error("identical sources digest differently")
-	}
-	if SourceDigest(a) != SourceDigest(IndexedSource{Seed: 1, N: 2}) {
-		t.Error("digest depends on source representation, not contents")
-	}
-}
-
-// The digest in the meta stamp is what rejects resuming a proposed-batch
-// journal against a different source.
-func TestSliceSourceResumeRejectedOnDigestMismatch(t *testing.T) {
-	dir := t.TempDir()
-	features := params.FeatureNames()
-	apps := SuiteNames(tinySuite())
-	src := SliceSource{params.ConfigAt(7, 0), params.ConfigAt(7, 1)}
-	meta := "suite=tiny source=" + SourceDigest(src)
-	path := filepath.Join(dir, "slice.journal")
-	sw, err := dataset.CreateStream(path, features, apps, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw.Close()
-
-	other := SliceSource{params.ConfigAt(7, 0), params.ConfigAt(7, 2)}
-	otherMeta := "suite=tiny source=" + SourceDigest(other)
-	if _, err := dataset.ResumeStream(path, features, apps, otherMeta); err == nil {
-		t.Fatal("resume against a different source accepted")
-	} else if errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("unexpected error kind: %v", err)
-	}
-	if _, err := dataset.ResumeStream(path, features, apps, meta); err != nil {
-		t.Fatalf("resume against the same source rejected: %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"armdse/internal/isa"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
 	"armdse/internal/workload"
@@ -17,53 +18,23 @@ import (
 // The staged collection engine. Collection is wired as three explicit,
 // separately testable stages:
 //
-//	config source  →  worker stage  →  row sink
+//	batch source  →  worker stage  →  row sink
 //
-// The source yields design-space points by global index, derived
-// independently per index (params.ConfigAt), so any subset of indices can
-// be simulated on any worker, in any shard, or in any resumed run and the
-// final dataset is identical. The worker stage simulates the full workload
+// The source proposes design-space points batch by batch (BatchSource);
+// the fixed sweep's source, RangeBatches, derives each point independently
+// per global index (params.ConfigAt), so any subset of indices can be
+// simulated on any worker, in any shard, or in any resumed run and the
+// final dataset is identical. The worker stage evaluates the full workload
 // suite on one configuration and emits a Row outcome record. The sink
 // consumes rows as they complete — in memory (DatasetSink) or streamed to
 // an on-disk journal (StreamSink) that survives interruption.
-
-// ConfigSource yields design-space points by global index.
-type ConfigSource interface {
-	// Len is the total number of configurations in the run's index space.
-	Len() int
-	// At returns configuration i, 0 <= i < Len(). Implementations must be
-	// deterministic and safe for concurrent use.
-	At(i int) params.Config
-}
-
-// IndexedSource derives configuration i directly from (Seed, i) via
-// params.ConfigAt — the engine's default source.
-type IndexedSource struct {
-	Seed int64
-	N    int
-}
-
-// Len implements ConfigSource.
-func (s IndexedSource) Len() int { return s.N }
-
-// At implements ConfigSource.
-func (s IndexedSource) At(i int) params.Config { return params.ConfigAt(s.Seed, i) }
-
-// SliceSource serves a pre-materialised configuration list.
-type SliceSource []params.Config
-
-// Len implements ConfigSource.
-func (s SliceSource) Len() int { return len(s) }
-
-// At implements ConfigSource.
-func (s SliceSource) At(i int) params.Config { return s[i] }
 
 // Row is the outcome record of one configuration.
 type Row struct {
 	// Index is the configuration's global index in the source.
 	Index int
-	// Gen is the proposal generation that produced the configuration under
-	// a BatchSource; always 0 in a fixed-source run.
+	// Gen is the proposal generation that produced the configuration;
+	// always 0 in a fixed sweep (a RangeBatches source).
 	Gen int
 	// Config is the simulated design-space point.
 	Config params.Config
@@ -126,18 +97,14 @@ type ProgressEvent struct {
 
 // Engine wires the stages together and runs the worker pool.
 type Engine struct {
-	// Source yields the configurations. Exactly one of Source and Batches
-	// must be set.
-	Source ConfigSource
-	// Batches, when set, proposes configurations generation by generation
-	// during the run (the adaptive seam; see BatchSource). The engine runs
-	// each batch to a full barrier and feeds all completed rows back before
-	// requesting the next. Incompatible with sharding.
+	// Batches proposes the configurations generation by generation (see
+	// BatchSource); required. A RangeBatches source is the fixed sweep.
 	Batches BatchSource
-	// Prior seeds a Batches run with the completed rows of an interrupted
-	// one (see PriorRowsFromJournal) so the proposal sequence replays
-	// identically; combine with Skip to avoid re-simulating them. Ignored
-	// for fixed-source runs.
+	// Prior holds the completed rows of an interrupted run (see
+	// PriorRowsFromJournal); combine with Skip to avoid re-simulating
+	// them. A proposer sees them as the results of its earlier batches, and
+	// the hybrid evaluator replays them through its router so its residual
+	// forests match the uninterrupted run's.
 	Prior []Row
 	// Suite is the workload set simulated on every configuration;
 	// required.
@@ -148,23 +115,14 @@ type Engine struct {
 	// BackendProxy); empty uses BackendSST, the study's default.
 	Backend string
 	// Eval selects the per-config evaluator by name (EvalExact, EvalBound,
-	// EvalHybrid); empty uses EvalExact, the study's default. The exact
-	// path is untouched by the seam: an empty or "exact" Eval produces
-	// byte-identical output to engines predating the field.
+	// EvalHybrid); empty uses EvalExact, the study's default.
 	Eval string
 	// EvalEscalate is the hybrid evaluator's escalation threshold on the
 	// residual forest's log-space spread; 0 uses DefaultEvalEscalate.
 	EvalEscalate float64
-	// EvalWarmup is the number of leading configurations the hybrid always
-	// escalates before the first residual fit; 0 uses DefaultEvalWarmup.
-	EvalWarmup int
-	// EvalRefresh is the hybrid's generation size after warmup — the
-	// residual forests retrain at each generation barrier; 0 uses
-	// DefaultEvalRefresh.
-	EvalRefresh int
 	// Seed drives the hybrid evaluator's residual-training substreams (it
-	// does not affect the Source). A hybrid run is deterministic in
-	// (Source, Seed, thresholds): identical inputs route and predict
+	// does not affect the source). A hybrid run is deterministic in
+	// (source, Seed, threshold): identical inputs route and predict
 	// identically at any worker count.
 	Seed int64
 	// Workers bounds the worker pool; 0 uses GOMAXPROCS.
@@ -172,11 +130,8 @@ type Engine struct {
 	// MaxCyclesPerRun aborts pathological runs; 0 uses the engine
 	// default.
 	MaxCyclesPerRun int64
-	// ShardIndex/ShardCount restrict the run to indices congruent to
-	// ShardIndex modulo ShardCount. ShardCount 0 or 1 disables sharding.
-	ShardIndex, ShardCount int
 	// Skip, when non-nil, drops index i before simulation — the resume
-	// hook: pass the journal's completed-index set.
+	// and shard hook.
 	Skip func(i int) bool
 	// Progress, when non-nil, is invoked after every finished
 	// configuration.
@@ -200,8 +155,8 @@ type Engine struct {
 // returns ctx.Err() — everything already completed is preserved by the
 // sink.
 func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
-	if (e.Source == nil) == (e.Batches == nil) {
-		return 0, 0, fmt.Errorf("orchestrate: engine needs exactly one of Source and Batches")
+	if e.Batches == nil {
+		return 0, 0, fmt.Errorf("orchestrate: engine needs a Batches source")
 	}
 	if e.Sink == nil {
 		return 0, 0, fmt.Errorf("orchestrate: engine needs a Sink")
@@ -209,102 +164,59 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 	if len(e.Suite) == 0 {
 		return 0, 0, fmt.Errorf("orchestrate: empty workload suite")
 	}
-	batchMode := e.Batches != nil
-	if batchMode && e.ShardCount > 1 {
-		// A shard sees only a slice of each generation's rows, so its
-		// proposals would diverge from every other shard's — there is no
-		// consistent dataset to assemble. Adaptive runs parallelise inside
-		// the batch instead.
-		return 0, 0, fmt.Errorf("orchestrate: batch sources cannot be sharded")
-	}
-	if e.ShardCount > 1 && (e.ShardIndex < 0 || e.ShardIndex >= e.ShardCount) {
-		return 0, 0, fmt.Errorf("orchestrate: shard %d/%d out of range", e.ShardIndex, e.ShardCount)
-	}
-	kind := e.Eval
-	if kind == "" {
-		kind = EvalExact
-	}
-	switch kind {
-	case EvalExact, EvalBound, EvalHybrid:
-	default:
-		return 0, 0, fmt.Errorf("orchestrate: unknown evaluator %q (want one of %v)", e.Eval, Evaluators())
-	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	maxCycles := e.MaxCyclesPerRun
-	if maxCycles <= 0 {
-		maxCycles = simeng.DefaultMaxCycles
+	r := &evalRun{suite: e.Suite, backend: e.Backend, tel: e.Telemetry, cache: newProgramCache(), maxCycles: e.MaxCyclesPerRun}
+	if r.maxCycles <= 0 {
+		r.maxCycles = simeng.DefaultMaxCycles
+	}
+	// The per-config body is chosen once per run. A hybrid run also builds
+	// its routing state, and indexes the prior rows it replays.
+	kind := e.Eval
+	var body func(rc *runContext, cfg params.Config, i, worker int) Row
+	var prior map[int]Row
+	switch kind {
+	case "", EvalExact:
+		kind, body = EvalExact, r.exact
+	case EvalBound:
+		body = r.bound
+	case EvalHybrid:
+		body = r.hybrid
+		r.hst = newHybridState(e.EvalEscalate, e.Seed, workers)
+		prior = make(map[int]Row, len(e.Prior))
+		for _, row := range e.Prior {
+			prior[row.Index] = row
+		}
+	default:
+		return 0, 0, fmt.Errorf("orchestrate: unknown evaluator %q (want one of %v)", e.Eval, Evaluators())
 	}
 
-	// Fixed-source runs enumerate their whole index space up front; batch
-	// runs discover theirs generation by generation, so their progress
-	// total is the source's Budget hint (0 when it offers none), refined
-	// downward as skipped indices are discovered.
-	var todo []int
+	// A fixed sweep's batches ignore prior results, so it keeps no rows
+	// for the proposer, tags no generations, and feeds its batches back to
+	// back — the barrier is only needed where a proposer or the hybrid's
+	// residual refresh consumes a complete batch.
+	_, fixed := e.Batches.(*RangeBatches)
+	barrier := !fixed || r.hst != nil
+
+	// The progress total counts the indices of the source's Budget hint
+	// (0 when it offers none) that are not skipped.
 	total := 0
-	if !batchMode {
-		for i := 0; i < e.Source.Len(); i++ {
-			if e.ShardCount > 1 && i%e.ShardCount != e.ShardIndex {
-				continue
+	if b, ok := e.Batches.(Budgeter); ok {
+		for i := 0; i < b.Budget(); i++ {
+			if e.Skip == nil || !e.Skip(i) {
+				total++
 			}
-			if e.Skip != nil && e.Skip(i) {
-				continue
-			}
-			todo = append(todo, i)
 		}
-		total = len(todo)
-	} else if b, ok := e.Batches.(Budgeter); ok {
-		total = b.Budget()
 	}
 
 	start := time.Now()
 	tel := e.Telemetry
-	tel.bind(e.Suite, workers, total, e.ShardIndex, e.ShardCount, start)
+	tel.bind(e.Suite, workers, total, start)
 	tel.bindEval(kind)
-	tel.bindBatchMode(batchMode)
-	cache := newProgramCache()
-	cache.instrument(tel)
-
-	// Hybrid routing state and the generation partition. Exact and bound
-	// runs are a single generation — every index is independent, so the
-	// feed degenerates to the classic stream. A hybrid run is split into a
-	// warmup generation (all escalated, seeding the residual forests) and
-	// fixed-size refresh generations with a full barrier between them:
-	// within a generation every routing decision consults a frozen model,
-	// so the decision per index — and therefore the dataset — is a pure
-	// function of (Source, Seed, thresholds), independent of worker count
-	// and completion order. In batch mode the proposer's own barriers are
-	// the generations: the residual forests refresh at each batch
-	// boundary, and the first batch doubles as the warmup (no model, all
-	// escalated).
-	var hst *hybridState
-	gens := [][]int{todo}
-	if kind == EvalHybrid {
-		hst = newHybridState(e.EvalEscalate, e.Seed, workers)
-		if !batchMode {
-			warmup := e.EvalWarmup
-			if warmup <= 0 {
-				warmup = DefaultEvalWarmup
-			}
-			refresh := e.EvalRefresh
-			if refresh <= 0 {
-				refresh = DefaultEvalRefresh
-			}
-			if warmup > len(todo) {
-				warmup = len(todo)
-			}
-			gens = [][]int{todo[:warmup]}
-			for lo := warmup; lo < len(todo); lo += refresh {
-				hi := lo + refresh
-				if hi > len(todo) {
-					hi = len(todo)
-				}
-				gens = append(gens, todo[lo:hi])
-			}
-		}
-	}
+	tel.bindBatchMode(!fixed)
+	r.cache.instrument(tel)
 
 	type job struct {
 		idx     int
@@ -316,8 +228,8 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 	var wg sync.WaitGroup
 
 	// Shared run state, guarded by mu: progress counters, the first sink
-	// error (which aborts the run), and — in batch mode — the rows
-	// completed in the current batch, tapped for the proposer.
+	// error (which aborts the run), and the rows completed in the current
+	// batch, tapped for the proposer.
 	var mu sync.Mutex
 	var cycles int64
 	var sinkErr error
@@ -336,15 +248,7 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 			rc.tel, rc.worker = tel, worker
 			for j := range jobs {
 				t0 := time.Now()
-				var row Row
-				switch kind {
-				case EvalBound:
-					row = e.runBoundConfig(cache, j.cfg, j.idx, worker)
-				case EvalHybrid:
-					row = e.runHybridConfig(cache, rc, hst, j.cfg, j.idx, maxCycles, worker)
-				default:
-					row = e.runConfig(cache, rc, j.cfg, j.idx, maxCycles, worker)
-				}
+				row := body(rc, j.cfg, j.idx, worker)
 				row.Gen = j.gen
 				tel.configDone(worker, &row, time.Since(t0).Nanoseconds())
 				mu.Lock()
@@ -362,7 +266,7 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 					j.pending.Done()
 					continue
 				}
-				if batchMode {
+				if !fixed {
 					batchRows = append(batchRows, row)
 				}
 				done++
@@ -392,99 +296,85 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 		}(w)
 	}
 
-	// Feed stage. Both paths hand every job to a worker through a
-	// per-generation WaitGroup; waiting on it before refreshing the
-	// hybrid's residual forests — or before asking the proposer for the
-	// next batch — is the barrier that keeps routing and proposals
-	// deterministic at any worker count.
+	// Feed stage: ask → run → feed results back → ask again. Batch g owns
+	// the contiguous indices [base, base+len(batch)); the proposer sees
+	// exactly the rows with Index < base — all complete earlier batches,
+	// sorted by index — which is what makes the proposal sequence a pure
+	// function of (source state, prior results), independent of worker
+	// count and resume point. Under the hybrid every batch is a routing
+	// generation: the residual forests refresh before it is fed and stay
+	// frozen until its barrier, so each routing decision is a pure
+	// function of (source, Seed, threshold) too.
+	var rows []Row
+	if !fixed {
+		rows = append(rows, e.Prior...)
+		sortRowsByIndex(rows)
+	}
 	var ctxErr error
-	if !batchMode {
-		// Fixed source: feed generation by generation. Exact and bound
-		// runs have one generation, so their feed order and abort
-		// behaviour match the pre-seam engine exactly.
-	feed:
-		for gi, gen := range gens {
-			if gi > 0 && hst != nil {
-				tel.evalRefresh(hst.refresh())
-			}
-			var pending sync.WaitGroup
-			for _, i := range gen {
-				mu.Lock()
-				aborted := sinkErr != nil
-				mu.Unlock()
-				if aborted {
-					break feed
+	base := 0
+feed:
+	for gen := 0; ; gen++ {
+		cut := 0
+		for cut < len(rows) && rows[cut].Index < base {
+			cut++
+		}
+		barrierT0 := time.Now()
+		batch, ok := e.Batches.NextBatch(rows[:cut:cut])
+		barrierNanos := time.Since(barrierT0).Nanoseconds()
+		if !ok || len(batch) == 0 {
+			break
+		}
+		var bstats BatchStats
+		if bs, hasStats := e.Batches.(BatchStatsSource); hasStats {
+			bstats = bs.LastBatchStats()
+		}
+		tel.searchBarrierDone(gen, barrierNanos, bstats)
+		if gen > 0 && r.hst != nil {
+			tel.evalRefresh(r.hst.refresh())
+		}
+		var pending sync.WaitGroup
+		var skipped []int
+		for bi, cfg := range batch {
+			i := base + bi
+			if e.Skip != nil && e.Skip(i) {
+				if r.hst != nil {
+					skipped = append(skipped, bi)
 				}
-				pending.Add(1)
-				select {
-				case jobs <- job{idx: i, cfg: e.Source.At(i), pending: &pending}:
-				case <-ctx.Done():
-					pending.Done()
-					ctxErr = ctx.Err()
-					break feed
-				}
+				continue
 			}
+			mu.Lock()
+			aborted := sinkErr != nil
+			mu.Unlock()
+			if aborted {
+				break feed
+			}
+			j := job{idx: i, cfg: cfg, pending: &pending}
+			if !fixed {
+				j.gen = gen
+			}
+			pending.Add(1)
+			select {
+			case jobs <- j:
+			case <-ctx.Done():
+				pending.Done()
+				ctxErr = ctx.Err()
+				break feed
+			}
+		}
+		if barrier {
 			pending.Wait()
 		}
-	} else {
-		// Batch source: ask → run to the barrier → feed results back →
-		// ask again. Batch g owns the contiguous indices [base,
-		// base+len(batch)); the proposer sees exactly the rows with
-		// Index < base — all complete earlier batches, sorted by index —
-		// which is what makes the proposal sequence a pure function of
-		// (source state, prior results), independent of worker count and
-		// resume point.
-		rows := append([]Row(nil), e.Prior...)
-		sortRowsByIndex(rows)
-		base := 0
-	batchFeed:
-		for gen := 0; ; gen++ {
-			cut := 0
-			for cut < len(rows) && rows[cut].Index < base {
-				cut++
+		// A resumed hybrid run rebuilds the training set the interrupted
+		// run had: each skipped row of this generation is routed again
+		// through the frozen forests, and the ones that escalated teach
+		// the next refresh exactly as they did the first time.
+		for _, bi := range skipped {
+			if row, ok := prior[base+bi]; ok {
+				r.replay(batch[bi], row)
 			}
-			barrierT0 := time.Now()
-			batch, ok := e.Batches.NextBatch(rows[:cut:cut])
-			barrierNanos := time.Since(barrierT0).Nanoseconds()
-			if !ok || len(batch) == 0 {
-				break
-			}
-			var bstats BatchStats
-			if bs, hasStats := e.Batches.(BatchStatsSource); hasStats {
-				bstats = bs.LastBatchStats()
-			}
-			tel.searchBarrierDone(gen, barrierNanos, bstats)
-			var pending sync.WaitGroup
-			for bi, cfg := range batch {
-				i := base + bi
-				if e.Skip != nil && e.Skip(i) {
-					mu.Lock()
-					if total > 0 {
-						total--
-					}
-					mu.Unlock()
-					continue
-				}
-				mu.Lock()
-				aborted := sinkErr != nil
-				mu.Unlock()
-				if aborted {
-					break batchFeed
-				}
-				pending.Add(1)
-				select {
-				case jobs <- job{idx: i, gen: gen, cfg: cfg, pending: &pending}:
-				case <-ctx.Done():
-					pending.Done()
-					ctxErr = ctx.Err()
-					break batchFeed
-				}
-			}
-			pending.Wait()
-			if hst != nil {
-				tel.evalRefresh(hst.refresh())
-			}
-			base += len(batch)
+		}
+		base += len(batch)
+		if !fixed {
 			mu.Lock()
 			rows = append(rows, batchRows...)
 			batchRows = nil
@@ -507,19 +397,32 @@ func sortRowsByIndex(rows []Row) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Index < rows[j].Index })
 }
 
-// runConfig is the worker stage: simulate the full suite on configuration
-// index i through the worker's pooled run context and record the outcome.
-// Telemetry recording (per-app wall time, stall aggregates, journal staging)
-// rides the same pass; with a nil Telemetry the only overhead is a nil check
-// per app.
-func (e *Engine) runConfig(cache *programCache, rc *runContext, cfg params.Config, i int, maxCycles int64, worker int) Row {
-	tel := e.Telemetry
+// evalRun is one run's evaluator state, shared by every worker: the
+// program cache, the cycle budget and — under the hybrid — the residual
+// routing state. Its exact, bound and hybrid methods are the per-config
+// bodies the engine chooses between; each evaluates configuration index i
+// on the calling worker and records the outcome.
+type evalRun struct {
+	suite     []workload.Workload
+	backend   string
+	tel       *Telemetry
+	cache     *programCache
+	maxCycles int64
+	hst       *hybridState
+}
+
+// exact simulates the full suite on cfg through the worker's pooled run
+// context. Telemetry recording (per-app wall time, stall aggregates,
+// journal staging) rides the same pass; with a nil Telemetry the only
+// overhead is a nil check per app.
+func (r *evalRun) exact(rc *runContext, cfg params.Config, i, worker int) Row {
+	tel := r.tel
 	tel.beginConfig(worker)
 	row := Row{Index: i, Config: cfg, Features: cfg.Features()}
-	targets := make(map[string]float64, len(e.Suite))
-	stalls := make(map[string]simeng.StallBreakdown, len(e.Suite))
-	for ai, w := range e.Suite {
-		prog, arena, err := cache.get(w, cfg.Core.VectorLength, worker)
+	targets := make(map[string]float64, len(r.suite))
+	stalls := make(map[string]simeng.StallBreakdown, len(r.suite))
+	for ai, w := range r.suite {
+		prog, arena, err := r.cache.get(w, cfg.Core.VectorLength, worker)
 		if err != nil {
 			row.Err = err
 			return row
@@ -528,7 +431,7 @@ func (e *Engine) runConfig(cache *programCache, rc *runContext, cfg params.Confi
 		if tel != nil {
 			t0 = time.Now()
 		}
-		st, err := rc.simulate(e.Backend, cfg, prog, arena, maxCycles)
+		st, err := rc.simulate(r.backend, cfg, prog, arena, r.maxCycles)
 		if tel != nil {
 			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), st, err)
 		}
@@ -545,25 +448,50 @@ func (e *Engine) runConfig(cache *programCache, rc *runContext, cfg params.Confi
 	return row
 }
 
-// runBoundConfig is the worker stage under the bound evaluator: answer
-// every application from the analytical bound model, no simulation. The
-// emitted Row carries the same shape as an exact one (targets, stalls
-// summing to cycles), marked Predicted with the bounds' tightness as
-// confidence.
-func (e *Engine) runBoundConfig(cache *programCache, cfg params.Config, i, worker int) Row {
-	tel := e.Telemetry
-	tel.beginConfig(worker)
-	row := Row{Index: i, Config: cfg, Features: cfg.Features()}
+// bound answers every application of cfg from the analytical bound model
+// (PredictBound), no simulation.
+func (r *evalRun) bound(_ *runContext, cfg params.Config, i, worker int) Row {
 	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
 	if err != nil {
-		row.Err = err
-		return row
+		r.tel.beginConfig(worker)
+		return Row{Index: i, Config: cfg, Features: cfg.Features(), Err: err}
 	}
-	targets := make(map[string]float64, len(e.Suite))
-	stalls := make(map[string]simeng.StallBreakdown, len(e.Suite))
+	return r.predicted(cfg, i, worker, func(_ int, st isa.StreamStats) (simeng.Stats, float64) {
+		return PredictBound(bm, st)
+	})
+}
+
+// hybrid predicts cfg from the frozen residual forests when every
+// application clears the confidence threshold, and otherwise escalates it
+// to the exact body — so escalated rows are byte-identical to an exact
+// run's — folding the exact outcomes into the next refresh.
+func (r *evalRun) hybrid(rc *runContext, cfg params.Config, i, worker int) Row {
+	bm, plans, confident := r.route(cfg, worker)
+	if confident {
+		return r.predicted(cfg, i, worker, func(ai int, st isa.StreamStats) (simeng.Stats, float64) {
+			p := plans[ai]
+			return bm.PredictedStats(st, p.b, predictCycles(p.b, p.mean)), spreadConfidence(p.std)
+		})
+	}
+	row := r.exact(rc, cfg, i, worker)
+	r.tel.evalDecision(worker, false, 0)
+	r.learn(plans, row)
+	return row
+}
+
+// predicted assembles a predicted row: predict answers each application
+// from its stream statistics with the predicted stats (stalls summing to
+// cycles) and a confidence, and the row carries the least confident
+// application's.
+func (r *evalRun) predicted(cfg params.Config, i, worker int, predict func(ai int, st isa.StreamStats) (simeng.Stats, float64)) Row {
+	tel := r.tel
+	tel.beginConfig(worker)
+	row := Row{Index: i, Config: cfg, Features: cfg.Features()}
+	targets := make(map[string]float64, len(r.suite))
+	stalls := make(map[string]simeng.StallBreakdown, len(r.suite))
 	conf := 1.0
-	for ai, w := range e.Suite {
-		st, err := cache.getStats(w, cfg.Core.VectorLength, worker)
+	for ai, w := range r.suite {
+		st, err := r.cache.getStats(w, cfg.Core.VectorLength, worker)
 		if err != nil {
 			row.Err = fmt.Errorf("%s: %w", w.Name(), err)
 			return row
@@ -572,16 +500,15 @@ func (e *Engine) runBoundConfig(cache *programCache, cfg params.Config, i, worke
 		if tel != nil {
 			t0 = time.Now()
 		}
-		b := bm.Bounds(st)
-		ps := bm.PredictedStats(st, b, b.Lower)
+		ps, c := predict(ai, st)
 		if tel != nil {
 			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), ps, nil)
 		}
 		row.Cycles += ps.Cycles
 		targets[w.Name()] = float64(ps.Cycles)
 		stalls[w.Name()] = ps.Stalls
-		if tight := boundTightness(b); tight < conf {
-			conf = tight
+		if c < conf {
+			conf = c
 		}
 	}
 	row.Targets = targets
@@ -591,93 +518,76 @@ func (e *Engine) runBoundConfig(cache *programCache, cfg params.Config, i, worke
 	return row
 }
 
-// runHybridConfig is the worker stage under the hybrid evaluator: consult
-// the per-application residual forests and predict the whole configuration
-// when every application clears the confidence threshold, otherwise
-// escalate it to the exact path — which is runConfig itself, so escalated
-// rows are byte-identical to an exact run's — and fold the exact outcomes
-// into the routing state for the next generation's refresh.
-func (e *Engine) runHybridConfig(cache *programCache, rc *runContext, hst *hybridState, cfg params.Config, i int, maxCycles int64, worker int) Row {
-	tel := e.Telemetry
-	bm, bmErr := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
+// appPlan is one application's routing input: its residual features, its
+// analytical bounds, and the frozen forest's log-space mean and spread.
+type appPlan struct {
+	x    []float64
+	b    simeng.Bounds
+	mean float64
+	std  float64
+}
 
-	// Plan each application: bounds, features, and the frozen forest's
-	// verdict. Any miss — no model yet, spread above threshold, a stats
-	// error, or a config outside the bound model's domain — escalates the
-	// whole configuration, keeping each Row purely exact or purely
-	// predicted.
-	type appPlan struct {
-		x    []float64
-		b    simeng.Bounds
-		mean float64
-		std  float64
+// route consults the frozen residual forests on every application of cfg.
+// confident reports whether all of them clear the escalation threshold;
+// any miss — no model yet, spread above threshold, a stats error, or a
+// config outside the bound model's domain — escalates the whole
+// configuration, keeping each Row purely exact or purely predicted. Plans
+// are nil when the bound model rejects cfg.
+func (r *evalRun) route(cfg params.Config, worker int) (bm *simeng.BoundModel, plans []appPlan, confident bool) {
+	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
+	if err != nil {
+		return nil, nil, false
 	}
-	var plans []appPlan
-	allConfident := bmErr == nil
-	conf := 1.0
-	if bmErr == nil {
-		cfgFeats := cfg.Features()
-		plans = make([]appPlan, len(e.Suite))
-		for ai, w := range e.Suite {
-			st, err := cache.getStats(w, cfg.Core.VectorLength, worker)
-			if err != nil {
-				allConfident = false
-				continue
-			}
-			b := bm.Bounds(st)
-			x := hybridFeatures(cfgFeats, bm, b)
-			mean, std, ok := hst.decide(w.Name(), x)
-			plans[ai] = appPlan{x: x, b: b, mean: mean, std: std}
-			if !ok {
-				allConfident = false
-			} else if c := spreadConfidence(std); c < conf {
-				conf = c
-			}
+	cfgFeats := cfg.Features()
+	plans = make([]appPlan, len(r.suite))
+	confident = true
+	for ai, w := range r.suite {
+		st, err := r.cache.getStats(w, cfg.Core.VectorLength, worker)
+		if err != nil {
+			confident = false
+			continue
+		}
+		b := bm.Bounds(st)
+		x := hybridFeatures(cfgFeats, bm, b)
+		mean, std, ok := r.hst.decide(w.Name(), x)
+		plans[ai] = appPlan{x: x, b: b, mean: mean, std: std}
+		if !ok {
+			confident = false
 		}
 	}
+	return bm, plans, confident
+}
 
-	if allConfident {
-		tel.beginConfig(worker)
-		row := Row{Index: i, Config: cfg, Features: cfg.Features(), Predicted: true, Confidence: conf}
-		targets := make(map[string]float64, len(e.Suite))
-		stalls := make(map[string]simeng.StallBreakdown, len(e.Suite))
-		for ai, w := range e.Suite {
-			st, _ := cache.getStats(w, cfg.Core.VectorLength, worker)
-			p := plans[ai]
-			var t0 time.Time
-			if tel != nil {
-				t0 = time.Now()
-			}
-			ps := bm.PredictedStats(st, p.b, predictCycles(p.b, p.mean))
-			if tel != nil {
-				tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), ps, nil)
-			}
-			row.Cycles += ps.Cycles
-			targets[w.Name()] = float64(ps.Cycles)
-			stalls[w.Name()] = ps.Stalls
-		}
-		row.Targets = targets
-		row.Stalls = stalls
-		tel.evalDecision(worker, true, conf)
-		return row
+// learn folds an escalated row's exact cycles into the residual training
+// set, one observation per application the router could plan; failed rows
+// teach nothing.
+func (r *evalRun) learn(plans []appPlan, row Row) {
+	if row.Failed() {
+		return
 	}
+	for ai, p := range plans {
+		if p.x == nil {
+			continue
+		}
+		lower := p.b.Lower
+		if lower < 1 {
+			lower = 1
+		}
+		name := r.suite[ai].Name()
+		r.hst.observe(name, row.Index, p.x, math.Log(row.Targets[name]/float64(lower)))
+	}
+}
 
-	row := e.runConfig(cache, rc, cfg, i, maxCycles, worker)
-	tel.evalDecision(worker, false, 0)
-	if row.Err == nil && plans != nil {
-		for ai, w := range e.Suite {
-			p := plans[ai]
-			if p.x == nil {
-				continue
-			}
-			lower := p.b.Lower
-			if lower < 1 {
-				lower = 1
-			}
-			hst.observe(w.Name(), i, p.x, math.Log(row.Targets[w.Name()]/float64(lower)))
-		}
+// replay routes a row completed by an interrupted run through the frozen
+// forests of its generation, using the generation's own cfg, and learns
+// from it exactly when the original run escalated it. Routing is a pure
+// function of the frozen forests, so no routing record is journaled. It
+// runs at a barrier, while every worker is idle, on worker 0's telemetry
+// shard.
+func (r *evalRun) replay(cfg params.Config, row Row) {
+	if _, plans, confident := r.route(cfg, 0); !confident {
+		r.learn(plans, row)
 	}
-	return row
 }
 
 // SuiteNames returns the application names of a workload suite, in order —

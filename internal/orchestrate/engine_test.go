@@ -211,12 +211,12 @@ func TestEngineValidation(t *testing.T) {
 	if _, _, err := e.Run(context.Background()); err == nil {
 		t.Error("engine without source accepted")
 	}
-	e = &Engine{Source: IndexedSource{Seed: 1, N: 2}, Sink: sink}
+	e = &Engine{Batches: &RangeBatches{Seed: 1, Hi: 2}, Sink: sink}
 	if _, _, err := e.Run(context.Background()); err == nil {
 		t.Error("engine without suite accepted")
 	}
-	e = &Engine{Source: IndexedSource{Seed: 1, N: 2}, Suite: tinySuite(), Sink: sink, ShardIndex: 3, ShardCount: 2}
-	if _, _, err := e.Run(context.Background()); err == nil {
+	_, err := Collect(context.Background(), Options{Seed: 1, Samples: 2, Suite: tinySuite(), ShardIndex: 3, ShardCount: 2})
+	if err == nil {
 		t.Error("out-of-range shard accepted")
 	}
 }
@@ -248,14 +248,12 @@ func TestSinkErrorAbortsRun(t *testing.T) {
 	}
 }
 
+// A pre-materialised configuration list runs through the engine as a
+// single batch.
 func TestSliceSource(t *testing.T) {
-	cfgs := params.SampleN(61, 3)
-	src := SliceSource(cfgs)
-	if src.Len() != 3 {
-		t.Fatalf("Len = %d", src.Len())
-	}
+	src := &scriptedBatches{batches: [][]params.Config{params.SampleN(61, 3)}}
 	sink := NewDatasetSink(params.FeatureNames(), SuiteNames(tinySuite()))
-	e := &Engine{Source: src, Suite: tinySuite(), Sink: sink, Workers: 2}
+	e := &Engine{Batches: src, Suite: tinySuite(), Sink: sink, Workers: 2}
 	done, failed, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -1,16 +1,13 @@
 package orchestrate
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 
 	"armdse/internal/dtree"
 	"armdse/internal/isa"
-	"armdse/internal/params"
 	"armdse/internal/simeng"
-	"armdse/internal/workload"
 )
 
 // Per-config evaluation seam. Every design-space point needs a cycle count
@@ -52,154 +49,15 @@ const (
 	evalMinSamplesLeaf = 2
 )
 
-// Evaluation is the outcome of evaluating one (configuration, workload)
-// pair.
-type Evaluation struct {
-	// Stats is the run outcome. For exact evaluations it is the
-	// simulator's full record; for predicted ones the architectural
-	// counts (retired, loads, stores...) are exact stream properties, the
-	// cycle count is the model's estimate, and the stall breakdown is the
-	// bound model's synthetic attribution (still summing to Cycles).
-	Stats simeng.Stats
-	// Confidence is the evaluator's self-assessed reliability in (0, 1]:
-	// exact evaluations report 1, the bound model its Lower/Upper
-	// tightness, the hybrid a decreasing function of the residual
-	// forest's between-tree spread.
-	Confidence float64
-	// Exact reports whether Stats came from exact simulation.
-	Exact bool
-}
-
-// Evaluator produces a per-(configuration, workload) evaluation. An
-// implementation may keep internal caches or learned state; Evaluate must
-// be safe for concurrent use.
-type Evaluator interface {
-	Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error)
-}
-
-// EvalOptions configure NewEvaluator.
-type EvalOptions struct {
-	// Backend names the memory backend exact simulation uses (see
-	// NewBackend); empty selects BackendSST.
-	Backend string
-	// MaxCycles bounds each exact run; 0 uses the engine default.
-	MaxCycles int64
-	// Escalate is the hybrid's escalation threshold on the residual
-	// forest's log-space spread; 0 uses DefaultEvalEscalate.
-	Escalate float64
-	// Seed drives the hybrid's residual-training substreams.
-	Seed int64
-	// Warmup is the number of leading configurations the hybrid always
-	// escalates before the first residual fit; 0 uses DefaultEvalWarmup.
-	Warmup int
-	// Refresh is the retraining period in observed escalations; 0 uses
-	// DefaultEvalRefresh.
-	Refresh int
-	// Workers bounds residual-training concurrency; 0 uses GOMAXPROCS.
-	Workers int
-}
-
-// NewEvaluator builds the named evaluator. An empty kind selects EvalExact,
-// the study's default.
-func NewEvaluator(kind string, opt EvalOptions) (Evaluator, error) {
-	switch kind {
-	case "", EvalExact:
-		return &ExactEvaluator{Backend: opt.Backend, MaxCycles: opt.MaxCycles}, nil
-	case EvalBound:
-		return NewBoundEvaluator(), nil
-	case EvalHybrid:
-		return NewHybridEvaluator(opt), nil
-	default:
-		return nil, fmt.Errorf("orchestrate: unknown evaluator %q (want one of %v)", kind, Evaluators())
-	}
-}
-
-// ExactEvaluator runs the full simulator — the pre-seam behaviour behind
-// the seam's interface.
-type ExactEvaluator struct {
-	// Backend names the memory backend (see NewBackend); empty selects
-	// BackendSST.
-	Backend string
-	// MaxCycles bounds each run; 0 uses the engine default.
-	MaxCycles int64
-}
-
-// Evaluate implements Evaluator by exact simulation.
-func (e *ExactEvaluator) Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error) {
-	st, err := RunOneOn(e.Backend, cfg, w, e.MaxCycles)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	return Evaluation{Stats: st, Confidence: 1, Exact: true}, nil
-}
-
-// statsCache shares per-(application, vector-length) stream statistics:
-// the stream is a pure function of the pair, so the (full-trace) summary
-// pass runs once however many configurations share it.
-type statsCache struct {
-	mu      sync.Mutex
-	entries map[progKey]*statsEntry
-}
-
-type statsEntry struct {
-	once  sync.Once
-	stats isa.StreamStats
-	err   error
-}
-
-func newStatsCache() *statsCache {
-	return &statsCache{entries: make(map[progKey]*statsEntry)}
-}
-
-func (sc *statsCache) get(w workload.Workload, vl int) (isa.StreamStats, error) {
-	key := progKey{name: w.Name(), vl: vl}
-	sc.mu.Lock()
-	e, ok := sc.entries[key]
-	if !ok {
-		e = &statsEntry{}
-		sc.entries[key] = e
-	}
-	sc.mu.Unlock()
-	e.once.Do(func() {
-		prog, err := w.Program(vl)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.stats = prog.Stats()
-	})
-	return e.stats, e.err
-}
-
-// BoundEvaluator answers every evaluation from the analytical bound model:
-// the estimate is the roofline lower bound, confidence its Lower/Upper
-// tightness. No simulation runs.
-type BoundEvaluator struct {
-	stats *statsCache
-}
-
-// NewBoundEvaluator returns a bound evaluator with a fresh statistics
-// cache.
-func NewBoundEvaluator() *BoundEvaluator {
-	return &BoundEvaluator{stats: newStatsCache()}
-}
-
-// Evaluate implements Evaluator analytically.
-func (e *BoundEvaluator) Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error) {
-	st, err := e.stats.get(w, cfg.Core.VectorLength)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
-	if err != nil {
-		return Evaluation{}, err
-	}
+// PredictBound is the bound evaluator's per-application body: it answers
+// one application on a configuration from the analytical bound model. The
+// prediction is the roofline lower bound — architectural counts (retired,
+// loads, stores...) are exact stream properties and the stall breakdown is
+// the model's synthetic attribution, still summing to Cycles — and the
+// confidence is the bounds' Lower/Upper tightness, in (0, 1].
+func PredictBound(bm *simeng.BoundModel, st isa.StreamStats) (simeng.Stats, float64) {
 	b := bm.Bounds(st)
-	return Evaluation{
-		Stats:      bm.PredictedStats(st, b, b.Lower),
-		Confidence: boundTightness(b),
-		Exact:      false,
-	}, nil
+	return bm.PredictedStats(st, b, b.Lower), boundTightness(b)
 }
 
 // boundTightness maps a bounds pair to (0, 1]: 1 when the interval is a
@@ -234,9 +92,8 @@ type residualState struct {
 
 // hybridState is the shared routing state of hybrid evaluation: per-app
 // residual forests plus the observations they retrain from. The collection
-// engine drives refreshes at generation barriers (deterministic at any
-// worker count); the standalone HybridEvaluator refreshes opportunistically
-// every Refresh escalations.
+// engine refreshes it between generations, while no worker routes, which
+// keeps routing deterministic at any worker count.
 type hybridState struct {
 	threshold float64
 	seed      int64
@@ -244,11 +101,8 @@ type hybridState struct {
 
 	mu   sync.RWMutex
 	apps map[string]*residualState
-	// pendingSinceFit counts observations folded in since the last fit
-	// (standalone refresh trigger) and gens counts completed refreshes
-	// (the training-substream index).
-	pendingSinceFit int
-	gens            int
+	// gens counts completed refreshes (the training-substream index).
+	gens int
 }
 
 func newHybridState(threshold float64, seed int64, workers int) *hybridState {
@@ -289,7 +143,6 @@ func (h *hybridState) observe(app string, index int, x []float64, y float64) {
 		h.apps[app] = rs
 	}
 	rs.samples = append(rs.samples, residualSample{index: index, x: x, y: y})
-	h.pendingSinceFit++
 	h.mu.Unlock()
 }
 
@@ -341,7 +194,6 @@ func (h *hybridState) refresh() int64 {
 		total += int64(len(rs.samples))
 	}
 	h.gens++
-	h.pendingSinceFit = 0
 	return total
 }
 
@@ -365,96 +217,4 @@ func hybridFeatures(cfgFeatures []float64, bm *simeng.BoundModel, b simeng.Bound
 	x := make([]float64, 0, len(cfgFeatures)+simeng.NumBoundFeatures)
 	x = append(x, cfgFeatures...)
 	return bm.AppendFeatures(x, b)
-}
-
-// HybridEvaluator routes each evaluation between the analytical fast path
-// and exact simulation. It warms up escalating everything, fits per-app
-// residual forests on the escalated outcomes, and from then on predicts
-// whenever the forest's spread clears the threshold, folding every further
-// escalation back into periodic refreshes.
-//
-// The standalone evaluator refreshes opportunistically (every Refresh
-// escalations), so concurrent callers may observe refreshes at
-// nondeterministic points; the collection engine instead drives the shared
-// routing state at generation barriers, which is what makes a hybrid sweep
-// deterministic at any worker count.
-type HybridEvaluator struct {
-	backend   string
-	maxCycles int64
-	warmup    int
-	refresh   int
-
-	stats *statsCache
-	state *hybridState
-
-	mu        sync.Mutex
-	escalated int
-}
-
-// NewHybridEvaluator builds a hybrid evaluator from opt (zero fields take
-// the documented defaults).
-func NewHybridEvaluator(opt EvalOptions) *HybridEvaluator {
-	warmup := opt.Warmup
-	if warmup <= 0 {
-		warmup = DefaultEvalWarmup
-	}
-	refresh := opt.Refresh
-	if refresh <= 0 {
-		refresh = DefaultEvalRefresh
-	}
-	return &HybridEvaluator{
-		backend:   opt.Backend,
-		maxCycles: opt.MaxCycles,
-		warmup:    warmup,
-		refresh:   refresh,
-		stats:     newStatsCache(),
-		state:     newHybridState(opt.Escalate, opt.Seed, opt.Workers),
-	}
-}
-
-// Evaluate implements Evaluator with confidence-routed prediction.
-func (e *HybridEvaluator) Evaluate(cfg params.Config, w workload.Workload) (Evaluation, error) {
-	st, err := e.stats.get(w, cfg.Core.VectorLength)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
-	if err != nil {
-		return Evaluation{}, err
-	}
-	b := bm.Bounds(st)
-	x := hybridFeatures(cfg.Features(), bm, b)
-
-	if mean, std, ok := e.state.decide(w.Name(), x); ok {
-		return Evaluation{
-			Stats:      bm.PredictedStats(st, b, predictCycles(b, mean)),
-			Confidence: spreadConfidence(std),
-			Exact:      false,
-		}, nil
-	}
-
-	exact, err := RunOneOn(e.backend, cfg, w, e.maxCycles)
-	if err != nil {
-		return Evaluation{}, err
-	}
-	lower := b.Lower
-	if lower < 1 {
-		lower = 1
-	}
-	e.mu.Lock()
-	e.escalated++
-	idx := e.escalated
-	e.mu.Unlock()
-	e.state.observe(w.Name(), idx, x, math.Log(float64(exact.Cycles)/float64(lower)))
-	if idx >= e.warmup && e.state.pending() >= e.refresh {
-		e.state.refresh()
-	}
-	return Evaluation{Stats: exact, Confidence: 1, Exact: true}, nil
-}
-
-// pending returns the observation count since the last refresh.
-func (h *hybridState) pending() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.pendingSinceFit
 }

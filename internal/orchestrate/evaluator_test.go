@@ -2,20 +2,25 @@ package orchestrate
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"armdse/internal/dataset"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
 )
 
 // TestEvaluatorFactoryErrors table-drives every error path of the two
-// by-name factories: both must reject unknown kinds with an error that
-// names the offender and lists the valid kinds.
+// by-name selections — the engine's evaluator and the memory backend: both
+// must reject unknown kinds with an error that names the offender and lists
+// the valid kinds.
 func TestEvaluatorFactoryErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -33,33 +38,32 @@ func TestEvaluatorFactoryErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ev, err := NewEvaluator(tc.kind, EvalOptions{})
+			// An empty range: the engine selects its body and stops.
+			eng := &Engine{
+				Batches: &RangeBatches{}, Suite: tinySuite(), Eval: tc.kind,
+				Sink: NewDatasetSink(params.FeatureNames(), SuiteNames(tinySuite())),
+			}
+			done, _, err := eng.Run(context.Background())
 			if tc.wantErr {
 				if err == nil {
-					t.Fatalf("NewEvaluator(%q) accepted", tc.kind)
+					t.Fatalf("Eval %q accepted", tc.kind)
 				}
 				for _, want := range append(Evaluators(), tc.kind) {
 					if !strings.Contains(err.Error(), want) {
 						t.Errorf("error %q does not mention %q", err, want)
 					}
 				}
-				if ev != nil {
-					t.Errorf("non-nil evaluator alongside error")
-				}
 				return
 			}
-			if err != nil {
-				t.Fatalf("NewEvaluator(%q): %v", tc.kind, err)
-			}
-			if ev == nil {
-				t.Fatalf("nil evaluator without error")
+			if err != nil || done != 0 {
+				t.Fatalf("Eval %q: done %d, %v", tc.kind, done, err)
 			}
 		})
 	}
 }
 
 // TestBackendFactoryErrors table-drives NewBackend's error paths the same
-// way (the evaluator factory mirrors its contract).
+// way (the evaluator selection mirrors its contract).
 func TestBackendFactoryErrors(t *testing.T) {
 	cfg := params.ThunderX2()
 	cases := []struct {
@@ -108,60 +112,65 @@ func TestEngineRejectsUnknownEval(t *testing.T) {
 	}
 }
 
+// The exact evaluator's rows carry exactly what RunOne reports for each
+// application, marked neither predicted nor confident.
 func TestExactEvaluatorMatchesRunOne(t *testing.T) {
-	cfg := params.ThunderX2()
-	w := tinySuite()[0]
-	want, err := RunOne(cfg, w)
-	if err != nil {
+	rec := newRowRecorder()
+	if _, err := Collect(context.Background(), Options{
+		Seed: 3, Samples: 1, Suite: tinySuite(), Eval: EvalExact, Sink: rec,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(EvalExact, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
+	row := rec.rows[0]
+	if row.Predicted || row.Confidence != 0 {
+		t.Errorf("exact row flags: predicted=%v confidence=%g", row.Predicted, row.Confidence)
 	}
-	got, err := ev.Evaluate(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Exact || got.Confidence != 1 {
-		t.Errorf("exact evaluation flags: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Stats, want) {
-		t.Errorf("exact evaluation stats differ from RunOne:\n got %+v\nwant %+v", got.Stats, want)
+	for _, w := range tinySuite() {
+		want, err := RunOne(params.ConfigAt(3, 0), w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := row.Targets[w.Name()]; got != float64(want.Cycles) {
+			t.Errorf("%s: exact row %g cycles, RunOne %d", w.Name(), got, want.Cycles)
+		}
+		if row.Stalls[w.Name()] != want.Stalls {
+			t.Errorf("%s: exact row stalls differ from RunOne", w.Name())
+		}
 	}
 }
 
 func TestBoundEvaluatorPredicts(t *testing.T) {
 	cfg := params.ThunderX2()
 	w := tinySuite()[0]
-	ev, err := NewEvaluator(EvalBound, EvalOptions{})
+	bm, err := simeng.NewBoundModel(cfg.Core, cfg.MemProfile())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ev.Evaluate(cfg, w)
+	prog, err := w.Program(cfg.Core.VectorLength)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Exact {
-		t.Error("bound evaluation claims exactness")
-	}
-	if got.Confidence <= 0 || got.Confidence > 1 {
-		t.Errorf("confidence = %g", got.Confidence)
-	}
-	if got.Stats.Cycles <= 0 {
-		t.Errorf("cycles = %d", got.Stats.Cycles)
-	}
-	if sum := got.Stats.Stalls.Total(); sum != got.Stats.Cycles {
-		t.Errorf("stall breakdown sums to %d, cycles %d", sum, got.Stats.Cycles)
-	}
-	// The prediction is the analytical lower bound, so exact simulation can
-	// only be slower.
+	got, conf := PredictBound(bm, prog.Stats())
 	exact, err := RunOne(cfg, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.Cycles < got.Stats.Cycles {
-		t.Errorf("exact %d below analytical lower bound %d", exact.Cycles, got.Stats.Cycles)
+	if reflect.DeepEqual(got, exact) || got.Cycles != bm.Bounds(prog.Stats()).Lower {
+		t.Error("bound prediction is not the analytical lower bound")
+	}
+	if conf <= 0 || conf > 1 {
+		t.Errorf("confidence = %g", conf)
+	}
+	if got.Cycles <= 0 {
+		t.Errorf("cycles = %d", got.Cycles)
+	}
+	if sum := got.Stalls.Total(); sum != got.Cycles {
+		t.Errorf("stall breakdown sums to %d, cycles %d", sum, got.Cycles)
+	}
+	// The prediction is the analytical lower bound, so exact simulation can
+	// only be slower.
+	if exact.Cycles < got.Cycles {
+		t.Errorf("exact %d below analytical lower bound %d", exact.Cycles, got.Cycles)
 	}
 }
 
@@ -346,34 +355,131 @@ func TestHybridEscalatedRowsMatchExact(t *testing.T) {
 	}
 }
 
-// TestHybridStandaloneEvaluator exercises the Evaluator-interface face of
-// the hybrid: warmup evaluations are exact, and once the residual forest
-// fits, confident points answer without simulation.
-func TestHybridStandaloneEvaluator(t *testing.T) {
-	w := tinySuite()[0]
-	ev := NewHybridEvaluator(EvalOptions{Seed: 3, Warmup: 4, Refresh: 4, Escalate: 5})
-	for i := 0; i < 8; i++ {
-		got, err := ev.Evaluate(params.ConfigAt(3, i), w)
-		if err != nil {
-			t.Fatal(err)
+// TestHybridPredictsAfterWarmup: warmup rows are exact, and once the
+// residual forests fit, a generous threshold answers the next generation
+// without simulation.
+func TestHybridPredictsAfterWarmup(t *testing.T) {
+	rec := newRowRecorder()
+	if _, err := Collect(context.Background(), Options{
+		Seed: 3, Samples: 8, Workers: 2, Suite: tinySuite(),
+		Eval: EvalHybrid, EvalWarmup: 4, EvalRefresh: 4, EvalEscalate: 5, Sink: rec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range rec.indices() {
+		row := rec.rows[i]
+		if i < 4 {
+			if row.Predicted {
+				t.Errorf("warmup row %d predicted", i)
+			}
+			continue
 		}
-		if i < 4 && !got.Exact {
-			t.Errorf("warmup evaluation %d not exact", i)
+		if !row.Predicted {
+			t.Errorf("post-warmup row %d escalated despite threshold 5", i)
+		}
+		if row.Confidence <= 0 || row.Confidence > 1 || row.Cycles <= 0 || math.IsNaN(row.Confidence) {
+			t.Errorf("predicted row %d: confidence %g, cycles %d", i, row.Confidence, row.Cycles)
 		}
 	}
-	// With an absurdly generous threshold the fitted forest must now answer
-	// a fresh point without simulation.
-	got, err := ev.Evaluate(params.ConfigAt(3, 100), w)
+}
+
+// hybridFixture is the 24-config hybrid sweep the shard and resume tests
+// share.
+func hybridFixture(workers int) Options {
+	return Options{
+		Seed: 7, Samples: 24, Workers: workers, Suite: tinySuite(),
+		Eval: EvalHybrid, EvalWarmup: 6, EvalRefresh: 4, EvalEscalate: 0.5,
+	}
+}
+
+// Each shard of a hybrid sweep would train its own residual forests, so
+// their union could never equal the unsharded run: Collect refuses.
+func TestHybridRejectsSharding(t *testing.T) {
+	opt := hybridFixture(1)
+	opt.ShardIndex, opt.ShardCount = 0, 3
+	if _, err := Collect(context.Background(), opt); err == nil {
+		t.Fatal("hybrid + shard accepted")
+	}
+}
+
+// A hybrid sweep interrupted after 10 rows and resumed with Prior + Skip
+// must compact to the same bytes as the uninterrupted run: the resumed run
+// rebuilds the residual forests by replaying the journaled rows through
+// the router, so every later routing decision matches.
+func TestHybridResumeEqualsUninterrupted(t *testing.T) {
+	scripted := func() BatchSource {
+		var cfgs []params.Config
+		for i := 0; i < 24; i++ {
+			cfgs = append(cfgs, params.ConfigAt(7, i))
+		}
+		return &scriptedBatches{batches: [][]params.Config{cfgs[:6], cfgs[6:10], cfgs[10:14], cfgs[14:18], cfgs[18:]}}
+	}
+	sources := []struct {
+		name    string
+		batches func() BatchSource
+	}{
+		{"fixed", func() BatchSource { return nil }},
+		{"scripted", scripted},
+	}
+	for _, src := range sources {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", src.name, workers), func(t *testing.T) {
+				dir := t.TempDir()
+				opt := hybridFixture(workers)
+				opt.Batches = src.batches()
+				full := filepath.Join(dir, "full.journal")
+				journalCollect(t, context.Background(), full, opt, false)
+
+				part := filepath.Join(dir, "part.journal")
+				ctx, cancel := context.WithCancel(context.Background())
+				iopt := hybridFixture(workers)
+				iopt.Batches = src.batches()
+				iopt.Progress = func(ev ProgressEvent) {
+					if ev.Done >= 10 {
+						cancel()
+					}
+				}
+				journalCollect(t, ctx, part, iopt, false)
+				cancel()
+
+				prior, err := PriorRowsFromJournal(part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(prior) < 10 || len(prior) >= 24 {
+					t.Fatalf("interrupted run journaled %d rows, want 10..23", len(prior))
+				}
+				ropt := hybridFixture(workers)
+				ropt.Batches = src.batches()
+				ropt.Prior = prior
+				journalCollect(t, context.Background(), part, ropt, true)
+				assertCompactEqual(t, full, part)
+			})
+		}
+	}
+}
+
+// journalCollect runs Collect into the stall-column journal at path —
+// created fresh, or reopened with the completed indices skipped when
+// resume is set. A cancelled context is expected, not an error.
+func journalCollect(t *testing.T, ctx context.Context, path string, opt Options, resume bool) {
+	t.Helper()
+	apps := SuiteNames(tinySuite())
+	open := dataset.CreateStreamAux
+	if resume {
+		open = dataset.ResumeStreamAux
+	}
+	sw, err := open(path, params.FeatureNames(), apps, StallColumns(apps), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Exact {
-		t.Error("post-warmup evaluation escalated despite threshold 5")
+	done := sw.Done()
+	opt.Sink = StreamSink{W: sw}
+	opt.Skip = func(i int) bool { return done[i] }
+	if _, err := Collect(ctx, opt); err != nil && !errors.Is(err, context.Canceled) {
+		t.Fatal(err)
 	}
-	if got.Confidence <= 0 || got.Confidence > 1 || got.Stats.Cycles <= 0 {
-		t.Errorf("predicted evaluation: %+v", got)
-	}
-	if math.IsNaN(float64(got.Stats.Cycles)) {
-		t.Error("NaN cycles")
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

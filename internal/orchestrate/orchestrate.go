@@ -4,8 +4,8 @@
 // artifact's run_xci.sh / config_generator.py / collect_data.py workflow,
 // fanned out over local cores instead of Isambard 2 nodes.
 //
-// Collection is organised as a staged engine (see Engine): an indexed
-// config source, a simulating worker stage, and a pluggable RowSink.
+// Collection is organised as a staged engine (see Engine): a batch
+// source, a simulating worker stage, and a pluggable RowSink.
 // Collect wires the stages into the classic one-call API; callers needing
 // streaming output, sharding, or resume drive the options directly.
 package orchestrate
@@ -30,12 +30,12 @@ type Options struct {
 	// Samples is the size of the run's global index space. Ignored when
 	// Batches is set (the proposer decides the index space).
 	Samples int
-	// Batches, when non-nil, replaces the fixed indexed source with a
-	// batch proposer — the adaptive search seam; see Engine.Batches.
-	// Incompatible with sharding.
+	// Batches, when non-nil, replaces the fixed sweep over [0, Samples)
+	// with a batch proposer — the adaptive search seam; see
+	// Engine.Batches. Incompatible with sharding.
 	Batches BatchSource
-	// Prior seeds a Batches run with the completed rows of an interrupted
-	// one; see Engine.Prior.
+	// Prior holds the completed rows of an interrupted adaptive or hybrid
+	// run; see Engine.Prior.
 	Prior []Row
 	// Workers bounds the worker pool; 0 uses GOMAXPROCS.
 	Workers int
@@ -55,7 +55,9 @@ type Options struct {
 	// configurations; 0 uses DefaultEvalWarmup.
 	EvalWarmup int
 	// EvalRefresh is the hybrid's generation size after warmup; 0 uses
-	// DefaultEvalRefresh.
+	// DefaultEvalRefresh. Warmup and refresh generations are cut on global
+	// indices, and only for the fixed sweep: under Batches every proposal
+	// batch is a generation.
 	EvalRefresh int
 	// MaxCyclesPerRun aborts pathological runs; 0 uses the engine default.
 	MaxCyclesPerRun int64
@@ -73,6 +75,8 @@ type Options struct {
 	// ShardIndex/ShardCount restrict the run to indices congruent to
 	// ShardIndex modulo ShardCount; the union of all shards of a seed
 	// equals the unsharded run. ShardCount 0 or 1 disables sharding.
+	// Batches and the hybrid evaluator cannot be sharded: each shard would
+	// propose, or train its residual forests, from its own rows only.
 	ShardIndex, ShardCount int
 	// Progress, when non-nil, receives a ProgressEvent after each
 	// configuration finishes. See Engine.Progress for the concurrency
@@ -141,6 +145,25 @@ func Collect(ctx context.Context, opt Options) (Result, error) {
 	if opt.Batches == nil && opt.Samples <= 0 {
 		return Result{}, fmt.Errorf("orchestrate: samples %d <= 0", opt.Samples)
 	}
+	skip := opt.Skip
+	if n := opt.ShardCount; n > 1 {
+		if opt.ShardIndex < 0 || opt.ShardIndex >= n {
+			return Result{}, fmt.Errorf("orchestrate: shard %d/%d out of range", opt.ShardIndex, n)
+		}
+		// A shard sees only a slice of each generation's rows, so its
+		// proposals — or its residual forests — would diverge from every
+		// other shard's: there is no consistent dataset to assemble.
+		if opt.Batches != nil {
+			return Result{}, fmt.Errorf("orchestrate: batch sources cannot be sharded")
+		}
+		if opt.Eval == EvalHybrid {
+			return Result{}, fmt.Errorf("orchestrate: hybrid sweeps cannot be sharded: each shard would train its own residual forests")
+		}
+		resumed := opt.Skip
+		skip = func(i int) bool {
+			return i%n != opt.ShardIndex || (resumed != nil && resumed(i))
+		}
+	}
 	suite := opt.Suite
 	if suite == nil {
 		suite = workload.TestSuite()
@@ -163,27 +186,35 @@ func Collect(ctx context.Context, opt Options) (Result, error) {
 		sink = ds
 	}
 
+	batches := opt.Batches
+	if batches == nil {
+		src := &RangeBatches{Seed: opt.Seed, Hi: opt.Samples}
+		if opt.Eval == EvalHybrid {
+			src.Warmup, src.Refresh = opt.EvalWarmup, opt.EvalRefresh
+			if src.Warmup <= 0 {
+				src.Warmup = DefaultEvalWarmup
+			}
+			if src.Refresh <= 0 {
+				src.Refresh = DefaultEvalRefresh
+			}
+		}
+		batches = src
+	}
+	opt.Telemetry.bindShard(opt.ShardIndex, opt.ShardCount)
 	eng := &Engine{
-		Batches:         opt.Batches,
+		Batches:         batches,
 		Prior:           opt.Prior,
 		Suite:           suite,
 		Sink:            sink,
 		Backend:         opt.Backend,
 		Eval:            opt.Eval,
 		EvalEscalate:    opt.EvalEscalate,
-		EvalWarmup:      opt.EvalWarmup,
-		EvalRefresh:     opt.EvalRefresh,
 		Seed:            opt.Seed,
 		Workers:         opt.Workers,
 		MaxCyclesPerRun: opt.MaxCyclesPerRun,
-		ShardIndex:      opt.ShardIndex,
-		ShardCount:      opt.ShardCount,
-		Skip:            opt.Skip,
+		Skip:            skip,
 		Progress:        opt.Progress,
 		Telemetry:       opt.Telemetry,
-	}
-	if opt.Batches == nil {
-		eng.Source = IndexedSource{Seed: opt.Seed, N: opt.Samples}
 	}
 	done, failed, runErr := eng.Run(ctx)
 	res := Result{Done: done, Failed: failed}

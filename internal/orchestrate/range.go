@@ -2,29 +2,53 @@ package orchestrate
 
 import "armdse/internal/params"
 
-// RangeSource derives the contiguous global-index range [Lo, Hi) of seed's
-// sampling stream — the lease-range config source behind the distributed
-// sweep fabric. A worker holding a lease over [Lo, Hi) runs the engine over
-// this source and re-bases the emitted row indices by Lo (see Base), so the
-// rows it uploads carry the same global indices a single-process sweep
-// would journal: the union of all lease ranges compacts byte-identically to
-// the unsharded run, exactly like modulo shards.
-type RangeSource struct {
+// rangeChunk is the batch size of a RangeBatches source outside the
+// hybrid's generations: enough to keep every worker fed, small enough
+// that a paper-scale sweep never holds its whole index space in memory.
+const rangeChunk = 1024
+
+// RangeBatches is the fixed sweep as a batch source: it serves
+// params.ConfigAt(Seed, i) for the contiguous global-index range [Lo, Hi),
+// in order, ignoring the rows fed back. The engine numbers its rows from
+// 0, so a fabric worker running one lease chunk re-bases them by Lo and
+// uploads the indices a single-process sweep would journal; Collect runs
+// [0, Samples) directly.
+//
+// Under the hybrid evaluator the batches are the routing generations — a
+// Warmup-sized batch, then Refresh-sized ones — cut on indices rather than
+// on the configurations a run actually simulates, so a resumed run routes
+// exactly as the uninterrupted one. With zero sizes every batch is
+// rangeChunk configurations, and the engine feeds them without a barrier.
+type RangeBatches struct {
 	Seed   int64
 	Lo, Hi int
+	// Warmup and Refresh are the hybrid's EvalWarmup and EvalRefresh
+	// generation sizes.
+	Warmup, Refresh int
+
+	served int
 }
 
-// Len implements ConfigSource.
-func (s RangeSource) Len() int {
-	if s.Hi <= s.Lo {
-		return 0
+// NextBatch implements BatchSource.
+func (r *RangeBatches) NextBatch([]Row) ([]params.Config, bool) {
+	lo := r.Lo + r.served
+	if lo >= r.Hi {
+		return nil, false
 	}
-	return s.Hi - s.Lo
+	size := r.Refresh
+	if r.served == 0 {
+		size = r.Warmup
+	}
+	if size <= 0 {
+		size = rangeChunk
+	}
+	batch := make([]params.Config, min(size, r.Hi-lo))
+	for i := range batch {
+		batch[i] = params.ConfigAt(r.Seed, lo+i)
+	}
+	r.served += len(batch)
+	return batch, true
 }
 
-// At implements ConfigSource: position i maps to global index Lo+i.
-func (s RangeSource) At(i int) params.Config { return params.ConfigAt(s.Seed, s.Lo+i) }
-
-// Base returns the offset to add to an engine-local row index to recover
-// the global index (the range's lower bound).
-func (s RangeSource) Base() int { return s.Lo }
+// Budget implements Budgeter: the size of the range.
+func (r *RangeBatches) Budget() int { return max(r.Hi-r.Lo, 0) }

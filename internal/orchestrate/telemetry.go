@@ -211,9 +211,9 @@ func (t *Telemetry) Registry() *obs.Registry {
 }
 
 // bind creates the run's metric handles and scratch space. Called by
-// Engine.Run once the suite, worker count and todo size are known; safe to
+// Engine.Run once the suite, worker count and progress total are known; safe to
 // call again for a second run on the same hub (handles are registry-cached).
-func (t *Telemetry) bind(suite []workload.Workload, workers, total, shardIndex, shardCount int, start time.Time) {
+func (t *Telemetry) bind(suite []workload.Workload, workers, total int, start time.Time) {
 	if t == nil {
 		return
 	}
@@ -261,13 +261,20 @@ func (t *Telemetry) bind(suite []workload.Workload, workers, total, shardIndex, 
 		t.scratch[w].apps = make([]appRunRecord, len(suite))
 	}
 	t.total = total
-	t.shardIndex, t.shardCount = shardIndex, shardCount
 	t.startedAt = start
 	t.gTotal.SetInt(int64(total))
 	t.mu.Lock()
 	t.slow = t.slow[:0]
 	t.lastHB = start
 	t.mu.Unlock()
+}
+
+// bindShard records the shard a Collect run covers, for Status.
+func (t *Telemetry) bindShard(index, count int) {
+	if t == nil {
+		return
+	}
+	t.shardIndex, t.shardCount = index, count
 }
 
 // bindBatchMode switches config records to carry the proposal-generation

@@ -335,7 +335,7 @@ func TestProgressElapsedETA(t *testing.T) {
 // untelemetered path must be a pure no-op.
 func TestNilTelemetryHooks(t *testing.T) {
 	var tel *Telemetry
-	tel.bind(tinySuite(), 1, 10, 0, 0, time.Now())
+	tel.bind(tinySuite(), 1, 10, time.Now())
 	tel.beginConfig(0)
 	tel.appRun(0, 0, 1, simeng.Stats{}, nil)
 	tel.poolEvent(0, true)
@@ -368,7 +368,7 @@ func TestPooledRunSteadyStateAllocsInstrumented(t *testing.T) {
 	defer j.Close()
 	tel := NewTelemetry(obs.NewRegistry(1), j)
 	suite := tinySuite()
-	tel.bind(suite, 1, 1000, 0, 0, time.Now())
+	tel.bind(suite, 1, 1000, time.Now())
 
 	cfg := params.ThunderX2()
 	cache := newProgramCache()
