@@ -36,7 +36,8 @@ var trainVariants = []struct {
 
 // BenchmarkTrain measures surrogate training at the dataset sizes the paper's
 // pipeline meets in practice (10k) and at scale (100k; skipped under -short).
-// Every variant trains the same model byte for byte — only the cost differs.
+// The exact variants train the same model byte for byte at any worker count,
+// as do the hist256 variants; exact and hist256 are different model families.
 func BenchmarkTrain(b *testing.B) {
 	for _, rows := range []int{10_000, 100_000} {
 		if rows > 10_000 && testing.Short() {

@@ -19,7 +19,7 @@ package dtree
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -91,8 +91,9 @@ type splitResult struct {
 // splitScratch holds one build task's reusable buffers; tasks borrow it from
 // the trainer's pool for the duration of a node's split search.
 type splitScratch struct {
-	perm  []int // exact-mode sort buffer, also the partition buffer
-	feats []int // feature-subsample buffer
+	perm  []int  // partition buffer
+	pairs []pair // exact-mode sort buffer
+	feats []int  // feature-subsample buffer
 	// Histogram-mode sparse per-bin accumulators: a set bit in bits marks
 	// the bin live for the current (node, feature) pass; stale bins are
 	// zeroed lazily on first touch (see findSplitHist).
@@ -141,9 +142,21 @@ func Train(x [][]float64, y []float64, opt Options) (*Tree, error) {
 			return nil, fmt.Errorf("dtree: row %d has %d features, want %d", i, len(row), nf)
 		}
 	}
+	tr := newTrainer(x, y, opt)
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	root := tr.build(idx, 1, subSeed(tr.opt.Seed, 0))
+	return flatten(root, tr.nf), nil
+}
+
+// newTrainer prepares the shared build state for validated (x, y).
+func newTrainer(x [][]float64, y []float64, opt Options) *trainer {
 	if opt.MinSamplesLeaf < 1 {
 		opt.MinSamplesLeaf = 1
 	}
+	nf := len(x[0])
 	tr := &trainer{x: x, y: y, opt: opt, nf: nf}
 	tr.allFeats = make([]int, nf)
 	for i := range tr.allFeats {
@@ -156,12 +169,7 @@ func Train(x [][]float64, y []float64, opt Options) (*Tree, error) {
 		tr.sem = make(chan struct{}, w-1)
 	}
 	tr.scratch.New = func() any { return &splitScratch{} }
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	root := tr.build(idx, 1, subSeed(opt.Seed, 0))
-	return flatten(root, nf), nil
+	return tr
 }
 
 // build grows the subtree over the samples in idx and returns its root.
@@ -241,27 +249,54 @@ func (tr *trainer) findBestSplit(idx []int, seed uint64, sum, sumSq, parentSSE f
 	return best, nl
 }
 
+// pair is one sample's (feature value, target) in the exact scan's sort
+// buffer. Sorting contiguous pairs keeps every comparison and swap inside
+// one slice, with no indirection through the sample index or the row.
+type pair struct{ v, y float64 }
+
+// cmpPairValue orders pairs by feature value. It reports only "less" (-1) or
+// "not less" (0): the stdlib pdqsort only ever tests cmp < 0, so this is
+// exactly the less function x[a][f] < x[b][f], NaN included, and the sort
+// leaves ties in the same order as sort.Slice with that less function does
+// (TestExactSplitMatchesReference). That tie order fixes the summation order
+// of the prefix sums below, and so is part of the trained model (see
+// DESIGN.md).
+func cmpPairValue(a, b pair) int {
+	if a.v < b.v {
+		return -1
+	}
+	return 0
+}
+
 // findSplitExact is the paper's exhaustive split search for one feature:
 // sort the node's samples by the feature and scan every boundary between
 // distinct consecutive values.
 func (tr *trainer) findSplitExact(idx []int, f int, sum, sumSq, parentSSE float64, sc *splitScratch, best *splitResult) {
 	n := len(idx)
-	perm := sc.perm[:n]
-	copy(perm, idx)
-	xf := tr.x
-	sort.Slice(perm, func(a, b int) bool { return xf[perm[a]][f] < xf[perm[b]][f] })
+	ps := sc.pairs[:n]
+	first := tr.x[idx[0]][f]
+	constant := true
+	for k, i := range idx {
+		v := tr.x[i][f]
+		ps[k] = pair{v, tr.y[i]}
+		constant = constant && v == first
+	}
+	if constant {
+		return // no boundary between distinct values, so no candidate
+	}
+	slices.SortFunc(ps, cmpPairValue)
+	minLeaf := tr.opt.MinSamplesLeaf
 	var lSum, lSq float64
 	for k := 0; k < n-1; k++ {
-		yi := tr.y[perm[k]]
+		yi := ps[k].y
 		lSum += yi
 		lSq += yi * yi
 		nl := k + 1
 		nr := n - nl
-		if nl < tr.opt.MinSamplesLeaf || nr < tr.opt.MinSamplesLeaf {
+		if nl < minLeaf || nr < minLeaf {
 			continue
 		}
-		v0 := xf[perm[k]][f]
-		v1 := xf[perm[k+1]][f]
+		v0, v1 := ps[k].v, ps[k+1].v
 		if v0 == v1 {
 			continue
 		}
@@ -319,7 +354,11 @@ func (tr *trainer) getScratch(n int) *splitScratch {
 	if cap(sc.feats) < tr.nf {
 		sc.feats = make([]int, tr.nf)
 	}
-	if tr.hist != nil {
+	if tr.hist == nil {
+		if cap(sc.pairs) < n {
+			sc.pairs = make([]pair, n)
+		}
+	} else {
 		if nb := tr.hist.maxBinCount(); cap(sc.cnt) < nb {
 			sc.cnt = make([]int, nb)
 			sc.sum = make([]float64, nb)

@@ -19,9 +19,9 @@ type ForestOptions struct {
 	// same indexed derivation params.ConfigAt uses — so the ensemble is
 	// identical at every worker count.
 	Seed int64
-	// Workers bounds the number of trees trained concurrently; 0 selects
-	// GOMAXPROCS, 1 trains serially. The trained forest is identical at
-	// every value.
+	// Workers bounds the number of trees trained concurrently and each
+	// tree's subtree builds (Options.Workers); 0 selects GOMAXPROCS, 1
+	// trains serially. The trained forest is identical at every value.
 	Workers int
 	// Bins selects the histogram-binned split finder for the ensemble's
 	// trees (see Options.Bins); 0 keeps the exact scan.
@@ -57,26 +57,13 @@ func TrainForest(x [][]float64, y []float64, opt ForestOptions) (*Forest, error)
 			opt.MaxFeatures = 1
 		}
 	}
-	n := len(x)
 	f := &Forest{trees: make([]*Tree, opt.Trees)}
 	errs := make([]error, opt.Trees)
 	forEachChunk(opt.Trees, opt.Workers, func(lo, hi int) {
-		bx := make([][]float64, n)
-		by := make([]float64, n)
+		bx := make([][]float64, len(x))
+		by := make([]float64, len(x))
 		for t := lo; t < hi; t++ {
-			rng := subRand(subSeed(opt.Seed, t))
-			for i := 0; i < n; i++ {
-				j := rng.Intn(n)
-				bx[i] = x[j]
-				by[i] = y[j]
-			}
-			f.trees[t], errs[t] = Train(bx, by, Options{
-				MinSamplesLeaf: opt.MinSamplesLeaf,
-				MaxFeatures:    opt.MaxFeatures,
-				Seed:           rng.Int63(),
-				Bins:           opt.Bins,
-			})
-			if errs[t] != nil {
+			if f.trees[t], errs[t] = bootstrapTree(x, y, opt, t, bx, by); errs[t] != nil {
 				return
 			}
 		}
@@ -87,6 +74,27 @@ func TrainForest(x [][]float64, y []float64, opt ForestOptions) (*Forest, error)
 		}
 	}
 	return f, nil
+}
+
+// bootstrapTree trains tree t of the ensemble opt describes: it draws the
+// tree's bootstrap resample of (x, y) into bx/by from the (Seed, t)
+// substream, then trains on it with the tree's own split seed. opt.Workers
+// bounds the tree's subtree builds too, so Workers 1 trains fully serially.
+func bootstrapTree(x [][]float64, y []float64, opt ForestOptions, t int, bx [][]float64, by []float64) (*Tree, error) {
+	n := len(x)
+	rng := subRand(subSeed(opt.Seed, t))
+	for i := 0; i < n; i++ {
+		j := rng.Intn(n)
+		bx[i] = x[j]
+		by[i] = y[j]
+	}
+	return Train(bx, by, Options{
+		MinSamplesLeaf: opt.MinSamplesLeaf,
+		MaxFeatures:    opt.MaxFeatures,
+		Seed:           rng.Int63(),
+		Workers:        opt.Workers,
+		Bins:           opt.Bins,
+	})
 }
 
 // NumTrees returns the ensemble size.

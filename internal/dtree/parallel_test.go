@@ -3,6 +3,8 @@ package dtree
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"armdse/internal/dataset"
@@ -80,6 +82,58 @@ func TestForestWorkerInvariance(t *testing.T) {
 			if !bytes.Equal(rb, gb) {
 				t.Errorf("workers=%d: tree %d differs from serial forest", workers, i)
 			}
+		}
+	}
+}
+
+// maxGoroutinesDuring runs fn while a probe goroutine repeatedly dumps every
+// goroutine's stack, and returns the most goroutines the dtree package had
+// started at any one sample (the probe itself excluded). Counting by creator
+// keeps runtime and testing goroutines out of the figure.
+func maxGoroutinesDuring(fn func()) int {
+	peak := 0 // written by the probe only, read after it stops
+	done := make(chan struct{})
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		buf := make([]byte, 1<<20)
+		for {
+			stacks := string(buf[:runtime.Stack(buf, true)])
+			n := strings.Count(stacks, "created by armdse/internal/dtree.") -
+				strings.Count(stacks, "created by armdse/internal/dtree.maxGoroutinesDuring")
+			peak = max(peak, n)
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	fn()
+	close(done)
+	<-stopped
+	return peak
+}
+
+// TestForestSerialWorkers pins that ForestOptions.Workers 1 trains fully
+// serially: neither the forest nor its trees' subtree builds start a
+// goroutine beyond the caller's. The same probe must see extra goroutines
+// at Workers 2, or it proves nothing.
+func TestForestSerialWorkers(t *testing.T) {
+	x, y := benchData(2000)
+	train := func(workers int) int {
+		return maxGoroutinesDuring(func() {
+			if _, err := TrainForest(x, y, ForestOptions{Trees: 2, Seed: 3, Workers: workers}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if extra := train(1); extra > 0 {
+		t.Errorf("Workers 1 forest ran %d goroutines beyond the caller's", extra)
+	}
+	if runtime.GOMAXPROCS(0) > 1 {
+		if extra := train(2); extra == 0 {
+			t.Error("probe saw no extra goroutines at Workers 2")
 		}
 	}
 }

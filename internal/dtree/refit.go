@@ -89,28 +89,15 @@ func RefitForest(prev *Forest, x [][]float64, y []float64, opt RefitOptions) (*F
 	}
 	start := (gen * refresh) % fo.Trees
 
-	n := len(x)
 	f := &Forest{trees: make([]*Tree, fo.Trees)}
 	copy(f.trees, prev.trees)
 	errs := make([]error, refresh)
 	forEachChunk(refresh, fo.Workers, func(lo, hi int) {
-		bx := make([][]float64, n)
-		by := make([]float64, n)
+		bx := make([][]float64, len(x))
+		by := make([]float64, len(x))
 		for j := lo; j < hi; j++ {
 			t := (start + j) % fo.Trees
-			rng := subRand(subSeed(fo.Seed, t))
-			for i := 0; i < n; i++ {
-				k := rng.Intn(n)
-				bx[i] = x[k]
-				by[i] = y[k]
-			}
-			f.trees[t], errs[j] = Train(bx, by, Options{
-				MinSamplesLeaf: fo.MinSamplesLeaf,
-				MaxFeatures:    fo.MaxFeatures,
-				Seed:           rng.Int63(),
-				Bins:           fo.Bins,
-			})
-			if errs[j] != nil {
+			if f.trees[t], errs[j] = bootstrapTree(x, y, fo, t, bx, by); errs[j] != nil {
 				return
 			}
 		}
