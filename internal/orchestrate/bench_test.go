@@ -42,19 +42,19 @@ func BenchmarkRunFresh(b *testing.B) {
 }
 
 // BenchmarkRunPooled measures the same evaluation through a pooled
-// runContext replaying cached arenas — the collection engine's steady state.
-// allocs/op should be ~0 per run once warm.
+// runContext replaying cached programs — the collection engine's steady
+// state. allocs/op should be ~2 per run (one is the stream cursor) once warm.
 func BenchmarkRunPooled(b *testing.B) {
 	suite := tinySuite()
 	cache := newProgramCache()
 	rc := newRunContext()
 	benchRuns(b, func(b *testing.B, cfg params.Config) {
 		for _, w := range suite {
-			prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+			prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles); err != nil {
+			if _, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles); err != nil {
 				b.Fatal(err)
 			}
 		}

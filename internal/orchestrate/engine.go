@@ -239,9 +239,9 @@ func (e *Engine) Run(ctx context.Context) (done, failed int, err error) {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			// Each worker owns one pooled run context: core, backend and
-			// stream cursor are allocated on the first job and reset in
-			// place for every subsequent one. The worker index doubles as
+			// Each worker owns one pooled run context: core and backend
+			// are allocated on the first job and reset in place for
+			// every subsequent one. The worker index doubles as
 			// the telemetry shard, so metric recording never contends
 			// across workers.
 			rc := newRunContext()
@@ -422,7 +422,7 @@ func (r *evalRun) exact(rc *runContext, cfg params.Config, i, worker int) Row {
 	targets := make(map[string]float64, len(r.suite))
 	stalls := make(map[string]simeng.StallBreakdown, len(r.suite))
 	for ai, w := range r.suite {
-		prog, arena, err := r.cache.get(w, cfg.Core.VectorLength, worker)
+		prog, err := r.cache.get(w, cfg.Core.VectorLength, worker)
 		if err != nil {
 			row.Err = err
 			return row
@@ -431,7 +431,7 @@ func (r *evalRun) exact(rc *runContext, cfg params.Config, i, worker int) Row {
 		if tel != nil {
 			t0 = time.Now()
 		}
-		st, err := rc.simulate(r.backend, cfg, prog, arena, r.maxCycles)
+		st, err := rc.simulate(r.backend, cfg, prog, r.maxCycles)
 		if tel != nil {
 			tel.appRun(worker, ai, time.Since(t0).Nanoseconds(), st, err)
 		}

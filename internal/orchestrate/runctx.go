@@ -1,25 +1,23 @@
 package orchestrate
 
 import (
-	"armdse/internal/isa"
 	"armdse/internal/params"
 	"armdse/internal/simeng"
 	"armdse/internal/workload"
 )
 
-// runContext is one worker's pooled simulation state: a core, a backend per
-// kind, and a stream cursor, all reset in place between runs so the worker
-// stops allocating a fresh core, window, ring buffers, heaps and hierarchy
-// per (config, app) pair. A context is single-consumer; each engine worker
-// goroutine owns exactly one and runs its jobs through it sequentially.
+// runContext is one worker's pooled simulation state: a core and a backend
+// per kind, both reset in place between runs so the worker stops allocating
+// a fresh core, window, ring buffers, heaps and hierarchy per (config, app)
+// pair. A context is single-consumer; each engine worker goroutine owns
+// exactly one and runs its jobs through it sequentially.
 //
 // Pooling is behaviour-neutral: Core.Reset and the backend Resets rebuild
 // state exactly as the constructors would, and the differential tests pin
 // that a pooled run is byte-identical to the same run on fresh objects.
 type runContext struct {
-	core   *simeng.Core
-	pool   BackendPool
-	cursor isa.SliceStream
+	core *simeng.Core
+	pool BackendPool
 	// tel/worker are the optional telemetry hub and this worker's shard
 	// index; set by the engine after construction (nil tel = untelemetered).
 	tel    *Telemetry
@@ -28,20 +26,12 @@ type runContext struct {
 
 func newRunContext() *runContext { return &runContext{} }
 
-// simulate runs prog under the cycle budget on the pooled core and backend.
-// When the program has a materialized arena the pooled cursor replays it;
-// otherwise the run falls back to a fresh lazy stream over the program.
-func (rc *runContext) simulate(backend string, cfg params.Config, prog *workload.Program, arena []isa.Inst, maxCycles int64) (simeng.Stats, error) {
+// simulate runs prog under the cycle budget on the pooled core and backend,
+// replaying the program's loop templates through a fresh stream cursor.
+func (rc *runContext) simulate(backend string, cfg params.Config, prog *workload.Program, maxCycles int64) (simeng.Stats, error) {
 	mem, err := rc.pool.Get(backend, cfg)
 	if err != nil {
 		return simeng.Stats{}, err
-	}
-	var stream isa.Stream
-	if arena != nil {
-		rc.cursor.ResetTo(arena)
-		stream = &rc.cursor
-	} else {
-		stream = prog.Stream()
 	}
 	if rc.core == nil {
 		rc.tel.poolEvent(rc.worker, false)
@@ -53,5 +43,5 @@ func (rc *runContext) simulate(backend string, cfg params.Config, prog *workload
 	if err != nil {
 		return simeng.Stats{}, err
 	}
-	return rc.core.RunLimit(stream, maxCycles)
+	return rc.core.RunLimit(prog.Stream(), maxCycles)
 }

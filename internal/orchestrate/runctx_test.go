@@ -1,7 +1,9 @@
 package orchestrate
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"armdse/internal/params"
@@ -10,9 +12,7 @@ import (
 )
 
 // freshRunSST is the reference semantics for the pooled path: a brand-new
-// SST backend and core per run, consuming the program's lazy stream (so it
-// also cross-checks the materialized arena against per-instruction
-// generation).
+// SST backend, core and stream per run.
 func freshRunSST(t *testing.T, cfg params.Config, w workload.Workload) simeng.Stats {
 	t.Helper()
 	prog, err := w.Program(cfg.Core.VectorLength)
@@ -56,14 +56,11 @@ func TestPooledMatchesFresh(t *testing.T) {
 	rc := newRunContext()
 	for ci, cfg := range configs {
 		for _, w := range tinySuite() {
-			prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+			prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if arena == nil {
-				t.Fatalf("%s vl=%d: no arena for a tiny workload", w.Name(), cfg.Core.VectorLength)
-			}
-			pooled, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles)
+			pooled, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles)
 			if err != nil {
 				t.Fatalf("config %d, %s: pooled run failed: %v", ci, w.Name(), err)
 			}
@@ -88,15 +85,15 @@ func TestPooledTruncatedThenFull(t *testing.T) {
 	cfg := params.ThunderX2()
 	w := tinySuite()[0]
 	cache := newProgramCache()
-	prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+	prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := newRunContext()
-	if _, err := rc.simulate(BackendSST, cfg, prog, arena, 50); err == nil {
+	if _, err := rc.simulate(BackendSST, cfg, prog, 50); err == nil {
 		t.Fatal("50-cycle budget did not truncate the run")
 	}
-	full, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles)
+	full, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +121,11 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 	rc := newRunContext()
 	run := func() {
 		for _, w := range suite {
-			prog, arena, err := cache.get(w, cfg.Core.VectorLength, 0)
+			prog, err := cache.get(w, cfg.Core.VectorLength, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := rc.simulate(BackendSST, cfg, prog, arena, simeng.DefaultMaxCycles); err != nil {
+			if _, err := rc.simulate(BackendSST, cfg, prog, simeng.DefaultMaxCycles); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -140,5 +137,40 @@ func TestPooledRunSteadyStateAllocs(t *testing.T) {
 	if perRun > allocBudgetPerRun {
 		t.Errorf("steady-state allocations: %.1f per run (%.1f per %d-workload suite), budget %d",
 			perRun, perSuite, len(suite), allocBudgetPerRun)
+	}
+}
+
+// collectHeapBudget bounds the total heap a small exact collection may
+// allocate. Replaying programs from their loop templates costs a few MiB for
+// an 8-config TestSuite sweep; expanding every (app, VL) trace into a flat
+// instruction slice costs ~150 MiB, so any per-dynamic-instruction storage
+// that creeps back into the engine trips this.
+const collectHeapBudget = 48 << 20
+
+// TestCollectHeapBudget pins the engine's heap footprint: one 8-config
+// exact Collect over the full test suite must allocate at most
+// collectHeapBudget bytes in total.
+func TestCollectHeapBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Collect(context.Background(), Options{
+		Seed:    1,
+		Samples: 8,
+		Workers: 2,
+		Suite:   workload.TestSuite(),
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Done != 8 {
+		t.Fatalf("finished %d configs, want 8", res.Done)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("8-config exact Collect allocated %.1f MiB", float64(alloc)/(1<<20))
+	if alloc > collectHeapBudget {
+		t.Errorf("8-config exact Collect allocated %.1f MiB, budget %d MiB",
+			float64(alloc)/(1<<20), collectHeapBudget>>20)
 	}
 }

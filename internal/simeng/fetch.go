@@ -2,32 +2,21 @@ package simeng
 
 import "armdse/internal/isa"
 
-// refStream is an optional Stream extension yielding instructions by
-// read-only reference instead of by copy; isa.SliceStream implements it.
-// When the run's stream provides it, the front end reads instructions
-// directly from the stream's backing storage, skipping the per-instruction
-// struct copy into the peek buffer.
-type refStream interface {
-	NextRef() *isa.Inst
-}
-
 // fetchUnit is the front-end stage component: the stream lookahead and the
 // loop-buffer lock state. peekRef points at the current lookahead
-// instruction — into the stream's storage on the refStream path, into
-// lazyBuf otherwise.
+// instruction in buf.
 //
-// The fetch queue holds pointers, not values: on the refStream path they
-// point straight into the (shared, read-only) arena, and on the lazy path
-// into lazyBuf, a private ring of fetchQCap+1 slots the stream decodes
-// directly into. A slot is reused only after fetchQCap+1 further pushes, by
-// which point the queue (capacity fetchQCap) must have dropped it — so every
-// pointer stays valid from peek through rename.
+// The fetch queue holds pointers, not values: the stream decodes each
+// instruction directly into buf, a private ring of fetchQCap+1 slots, and
+// the queue carries pointers into it. A slot is reused only after
+// fetchQCap+1 further pushes, by which point the queue (capacity fetchQCap)
+// must have dropped it — so every pointer stays valid from peek through
+// rename.
 type fetchUnit struct {
 	stream     isa.Stream
-	refs       refStream
 	peekRef    *isa.Inst
-	lazyBuf    []isa.Inst
-	lazyIdx    int
+	buf        []isa.Inst
+	bufIdx     int
 	havePeek   bool
 	streamDone bool
 	lbActive   bool
@@ -35,11 +24,11 @@ type fetchUnit struct {
 	lbSeen     int
 }
 
-// reset re-initialises the unit for a new run, retaining lazyBuf.
+// reset re-initialises the unit for a new run, retaining buf.
 func (u *fetchUnit) reset() {
-	buf := u.lazyBuf
+	buf := u.buf
 	*u = fetchUnit{}
-	u.lazyBuf = buf
+	u.buf = buf
 }
 
 // ensurePeek keeps a one-instruction lookahead over the stream.
@@ -50,20 +39,10 @@ func (u *fetchUnit) ensurePeek() bool {
 	if u.streamDone {
 		return false
 	}
-	if u.refs != nil {
-		p := u.refs.NextRef()
-		if p == nil {
-			u.streamDone = true
-			return false
-		}
-		u.peekRef = p
-		u.havePeek = true
-		return true
+	if u.buf == nil {
+		u.buf = make([]isa.Inst, fetchQCap+1)
 	}
-	if u.lazyBuf == nil {
-		u.lazyBuf = make([]isa.Inst, fetchQCap+1)
-	}
-	slot := &u.lazyBuf[u.lazyIdx]
+	slot := &u.buf[u.bufIdx]
 	if !u.stream.Next(slot) {
 		u.streamDone = true
 		return false
@@ -96,17 +75,13 @@ func (c *Core) fetchStage() {
 				return
 			}
 		}
-		// inst aliases the lookahead (lazyBuf slot or stream storage); the
-		// pointer stays valid through rename — see the fetchUnit comment.
-		// Read-only on the refStream path.
+		// inst aliases the lookahead's buf slot; the pointer stays valid
+		// through rename — see the fetchUnit comment.
 		inst := u.peekRef
 		u.havePeek = false
-		if u.refs == nil {
-			// Consumed a lazyBuf slot: advance to the next one.
-			u.lazyIdx++
-			if u.lazyIdx == len(u.lazyBuf) {
-				u.lazyIdx = 0
-			}
+		u.bufIdx++
+		if u.bufIdx == len(u.buf) {
+			u.bufIdx = 0
 		}
 		c.fetchQ.Push(inst)
 		c.stats.Fetched++

@@ -97,30 +97,27 @@ func (p *Program) DynamicInsts() int64 {
 func (p *Program) Stream() isa.Stream { return &progStream{prog: p} }
 
 // Stats summarises the program's full dynamic stream for analytical models.
-// The walk is a full trace expansion (same cost as one Materialize pass);
-// callers that evaluate many configurations against one program should cache
-// the result per (application, vector length) — the orchestrate program
-// cache does exactly that.
+// The walk is a full trace expansion; callers that evaluate many
+// configurations against one program should cache the result per
+// (application, vector length) — the orchestrate program cache does exactly
+// that.
 func (p *Program) Stats() isa.StreamStats {
 	return isa.CollectStreamStats(p.Stream())
 }
 
 // DefaultMaterializeLimit is the largest dynamic instruction count Materialize
-// will expand by default: ~88 MB of arena at 88 bytes per instruction. The
-// full paper-scale programs (tens of millions of instructions) stay on the
-// lazy stream; the collection-sweep programs fit comfortably.
+// will expand by default: ~88 MB at 88 bytes per instruction. Like
+// Materialize, it plays no part in simulation.
 const DefaultMaterializeLimit = 1 << 20
 
 // Materialize expands the program's full dynamic trace into a flat
 // instruction slice, or returns nil if the trace exceeds limit instructions
-// (limit <= 0 means DefaultMaterializeLimit).
+// (limit <= 0 means DefaultMaterializeLimit). The trace is identical to
+// what Stream produces.
 //
-// The returned arena is READ-ONLY by contract: it is built once per
-// (program, vector-length) and then shared by every configuration's run
-// concurrently, each replaying it through its own isa.SliceStream cursor.
-// Callers must never mutate the returned slice or hand it to anything that
-// does. The trace is byte-identical to what Stream produces — the
-// pooled-vs-fresh differential tests pin that.
+// The simulation engine does not use it: every run replays the loop
+// templates through Stream, which holds no per-instruction storage.
+// Materialize remains for callers that time or inspect a full expansion.
 func (p *Program) Materialize(limit int64) []isa.Inst {
 	if limit <= 0 {
 		limit = DefaultMaterializeLimit

@@ -145,6 +145,30 @@ func TestProgramExpansion(t *testing.T) {
 	}
 }
 
+// TestMaterializeMatchesStream pins Materialize's contract: the flat trace
+// equals the lazy stream instruction for instruction, and a trace over the
+// limit yields nil.
+func TestMaterializeMatchesStream(t *testing.T) {
+	b := NewBody()
+	b.Load(isa.R(isa.FP, 1), false, Flat(DataBase, 8, 8))
+	b.ScalarLoopEnd()
+	prog := MustBuildProgram(CodeBase, 2, b.Loop("l", 3))
+	insts := prog.Materialize(0)
+	if int64(len(insts)) != prog.DynamicInsts() {
+		t.Fatalf("materialized %d instructions, want %d", len(insts), prog.DynamicInsts())
+	}
+	s := prog.Stream()
+	var in isa.Inst
+	for k := range insts {
+		if !s.Next(&in) || in != insts[k] {
+			t.Fatalf("materialized trace diverges from stream at %d", k)
+		}
+	}
+	if got := prog.Materialize(prog.DynamicInsts() - 1); got != nil {
+		t.Errorf("over-limit trace materialized %d instructions, want nil", len(got))
+	}
+}
+
 func TestProgramStreamDeterminism(t *testing.T) {
 	for _, w := range TestSuite() {
 		w := w
