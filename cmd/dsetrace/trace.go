@@ -1,10 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"armdse/internal/obs"
 	"armdse/internal/simeng"
 )
 
@@ -19,23 +19,8 @@ import (
 // one track per stall class, tiling the run with the engine's per-cycle
 // attribution (the same numbers behind Stats.Stalls, drawn on a timeline).
 
-// chromeEvent is one trace-event record. Complete events (ph "X") carry a
-// duration; metadata events (ph "M") name processes and threads.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// chromeTrace is the top-level trace JSON object.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// chromeTrace is the shared trace-event document, timed in integer cycles.
+type chromeTrace = obs.Trace[int64]
 
 // stallInterval is one coalesced run of cycles attributed to a single class.
 type stallInterval struct {
@@ -78,12 +63,8 @@ const (
 // happens when window occupancy exceeds maxLanes.
 func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInterval) error {
 	out := chromeTrace{DisplayTimeUnit: "ns"}
-	out.TraceEvents = append(out.TraceEvents,
-		chromeEvent{Name: "process_name", Ph: "M", Pid: pidInstructions,
-			Args: map[string]any{"name": "instructions (1 cycle = 1us)"}},
-		chromeEvent{Name: "process_name", Ph: "M", Pid: pidStalls,
-			Args: map[string]any{"name": "stall attribution"}},
-	)
+	out.ProcessName(pidInstructions, "instructions (1 cycle = 1us)")
+	out.ProcessName(pidStalls, "stall attribution")
 
 	// Greedy lane packing: laneFree[t] is the first cycle lane t is free.
 	var laneFree []int64
@@ -114,7 +95,7 @@ func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInt
 		if ev.SVE {
 			name += ".sve"
 		}
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.Add(obs.TraceEvent[int64]{
 			Name: name, Ph: "X",
 			Ts: ev.Dispatched, Dur: end - ev.Dispatched,
 			Pid: pidInstructions, Tid: lane,
@@ -129,17 +110,14 @@ func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInt
 		})
 	}
 	for t := 0; t < usedLanes; t++ {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pidInstructions, Tid: t,
-			Args: map[string]any{"name": fmt.Sprintf("lane %02d", t)},
-		})
+		out.ThreadName(pidInstructions, t, fmt.Sprintf("lane %02d", t))
 	}
 
 	classes := simeng.StallClassNames()
 	seen := make([]bool, len(classes))
 	for _, iv := range stalls {
 		seen[iv.class] = true
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.Add(obs.TraceEvent[int64]{
 			Name: classes[iv.class], Ph: "X",
 			Ts: iv.from, Dur: iv.n,
 			Pid: pidStalls, Tid: int(iv.class),
@@ -148,19 +126,15 @@ func writeChromeTrace(w io.Writer, events []simeng.TraceEvent, stalls []stallInt
 	}
 	for c, name := range classes {
 		if seen[c] {
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pidStalls, Tid: c,
-				Args: map[string]any{"name": name},
-			})
+			out.ThreadName(pidStalls, c, name)
 		}
 	}
 
 	if dropped > 0 {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
+		out.Add(obs.TraceEvent[int64]{
 			Name: "dropped_instructions", Ph: "M", Pid: pidInstructions,
 			Args: map[string]any{"dropped": dropped, "max_lanes": maxLanes},
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return out.Write(w)
 }

@@ -19,7 +19,6 @@ package dtree
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 )
 
@@ -252,21 +251,12 @@ func (tr *trainer) findBestSplit(idx []int, seed uint64, sum, sumSq, parentSSE f
 // pair is one sample's (feature value, target) in the exact scan's sort
 // buffer. Sorting contiguous pairs keeps every comparison and swap inside
 // one slice, with no indirection through the sample index or the row.
+// sortPairs orders them by v with only the less test v[a] < v[b], NaN
+// included, and leaves ties in the same order as sort.Slice with that less
+// function does (TestExactSplitMatchesReference). That tie order fixes the
+// summation order of the prefix sums in findSplitExact, and so is part of
+// the trained model (see DESIGN.md).
 type pair struct{ v, y float64 }
-
-// cmpPairValue orders pairs by feature value. It reports only "less" (-1) or
-// "not less" (0): the stdlib pdqsort only ever tests cmp < 0, so this is
-// exactly the less function x[a][f] < x[b][f], NaN included, and the sort
-// leaves ties in the same order as sort.Slice with that less function does
-// (TestExactSplitMatchesReference). That tie order fixes the summation order
-// of the prefix sums below, and so is part of the trained model (see
-// DESIGN.md).
-func cmpPairValue(a, b pair) int {
-	if a.v < b.v {
-		return -1
-	}
-	return 0
-}
 
 // findSplitExact is the paper's exhaustive split search for one feature:
 // sort the node's samples by the feature and scan every boundary between
@@ -284,7 +274,7 @@ func (tr *trainer) findSplitExact(idx []int, f int, sum, sumSq, parentSSE float6
 	if constant {
 		return // no boundary between distinct values, so no candidate
 	}
-	slices.SortFunc(ps, cmpPairValue)
+	sortPairs(ps)
 	minLeaf := tr.opt.MinSamplesLeaf
 	var lSum, lSq float64
 	for k := 0; k < n-1; k++ {

@@ -369,10 +369,11 @@ func (c *Coordinator) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	c.noteTelemetry(req.Worker, tel, now)
 	c.noteRows(req.Worker, journaled, journaledFailed, journaledCycles, now)
 	c.noteEvents(events, now)
-	if done && c.table.Done() {
+	runDone := c.table.Done()
+	if runDone {
 		c.signalDone()
 	}
-	writeJSON(w, AdvanceResponse{Hi: hi, Done: done})
+	writeJSON(w, AdvanceResponse{Hi: hi, Done: done, RunDone: runDone})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,6 +393,45 @@ func TestFleetByteIdentity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkerExitsWhenRunDone runs one worker against a coordinator that
+// stops serving the moment the run completes, as dsecoord -linger 0s does:
+// the final advance must tell the worker the run is over, so it exits
+// cleanly without another request to a coordinator that is gone.
+func TestWorkerExitsWhenRunDone(t *testing.T) {
+	coord, err := NewCoordinator(CoordConfig{
+		Spec: NewSpec(11, 4, false), Out: filepath.Join(t.TempDir(), "fleet.csv"),
+		LeaseSize: 2, Chunk: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var late atomic.Int32
+	h := coord.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-coord.Done():
+			late.Add(1)
+			panic(http.ErrAbortHandler) // drop the connection: nobody is serving
+		default:
+			h.ServeHTTP(w, r)
+		}
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	err = RunWorker(ctx, WorkerConfig{Coord: srv.URL, Name: "w0", Threads: 1, Client: srv.Client()})
+	if err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if n := late.Load(); n != 0 {
+		t.Errorf("worker sent %d requests after the run completed", n)
+	}
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -167,11 +167,14 @@ type AdvanceRequest struct {
 }
 
 // AdvanceResponse acknowledges an advance. Hi is the lease's current upper
-// bound — lower than the granted Hi if a steal split the lease — and Done
-// reports the lease fully consumed.
+// bound — lower than the granted Hi if a steal split the lease — Done
+// reports the lease fully consumed, and RunDone reports every lease of the
+// run complete, so the worker exits without asking for another lease (a
+// coordinator that does not linger may already be gone by then).
 type AdvanceResponse struct {
-	Hi   int  `json:"hi"`
-	Done bool `json:"done,omitempty"`
+	Hi      int  `json:"hi"`
+	Done    bool `json:"done,omitempty"`
+	RunDone bool `json:"run_done,omitempty"`
 }
 
 // HeartbeatRequest refreshes a lease's deadline without advancing it (sent

@@ -113,8 +113,13 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 			case <-time.After(cfg.PollEvery):
 			}
 		default:
-			if err := w.runLease(ctx, *resp.Lease); err != nil {
+			runDone, err := w.runLease(ctx, *resp.Lease)
+			if err != nil {
 				return err
+			}
+			if runDone {
+				w.logf("fleet complete (%d rows uploaded)", w.uploaded)
+				return nil
 			}
 		}
 	}
@@ -163,10 +168,11 @@ func (w *worker) logf(format string, args ...any) {
 // acquires a new one; any other HTTP error is fatal.
 var errLeaseLost = fmt.Errorf("fabric: lease lost")
 
-// runLease simulates the lease chunk by chunk. A stale rejection (the lease
-// expired under us, or our tail was stolen and re-granted) abandons the
-// lease without error; the rows the coordinator already committed stay.
-func (w *worker) runLease(ctx context.Context, lease Lease) error {
+// runLease simulates the lease chunk by chunk and reports whether its last
+// advance completed the whole run. A stale rejection (the lease expired
+// under us, or our tail was stolen and re-granted) abandons the lease
+// without error; the rows the coordinator already committed stay.
+func (w *worker) runLease(ctx context.Context, lease Lease) (runDone bool, err error) {
 	w.logf("lease %d epoch %d: [%d, %d) chunk %d", lease.ID, lease.Epoch, lease.Lo, lease.Hi, lease.Chunk)
 	// hi may shrink while we work (steals); advance and heartbeat responses
 	// carry the current bound, applied at chunk boundaries.
@@ -180,14 +186,14 @@ func (w *worker) runLease(ctx context.Context, lease Lease) error {
 		rows, err := w.simulateRange(ctx, lease, &hi, cursor, chunkHi)
 		if err == errLeaseLost {
 			w.logf("lease %d lost mid-chunk; abandoning", lease.ID)
-			return nil
+			return false, nil
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
 		if w.cfg.OnChunk != nil {
 			if err := w.cfg.OnChunk(lease.ID, chunkHi); err != nil {
-				return err
+				return false, err
 			}
 		}
 		var resp AdvanceResponse
@@ -197,20 +203,20 @@ func (w *worker) runLease(ctx context.Context, lease Lease) error {
 		}, &resp)
 		if status == http.StatusConflict {
 			w.logf("lease %d reassigned; abandoning", lease.ID)
-			return nil
+			return false, nil
 		}
 		if err != nil {
-			return err
+			return false, err
 		}
 		w.uploaded += len(rows)
 		cursor = chunkHi
 		atomic.StoreInt64(&hi, int64(resp.Hi))
 		if resp.Done {
 			w.logf("lease %d complete at %d", lease.ID, resp.Hi)
-			return nil
+			return resp.RunDone, nil
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // simulateRange runs the collection engine over global indices [lo, hiC),
